@@ -7,7 +7,7 @@ line, a Boolean base plus an integer exponent polynomial mod 2k; a dense
 statevector oracle provides an independent numeric check.
 """
 
-from .circuit import Circuit, Diagnostic, Gate, Line
+from .circuit import Circuit, Gate, Line
 from .errors import (
     BadRootError,
     CnqError,
@@ -29,13 +29,10 @@ from .expr import (
     MlPoly,
     display_anf,
     iter_assignments,
-    parse_anf,
-    parse_poly,
 )
 from .fuzz import random_circuit, random_valid_circuit, self_test
 from .optimize import (
     Change,
-    Contribution,
     MergeResult,
     OptimizationReport,
     merge_pass,
@@ -73,11 +70,9 @@ __all__ = [
     "Change",
     "Circuit",
     "CnqError",
-    "Contribution",
     "CrossCheckResult",
     "DEFAULT_ENUM_GUARD",
     "DEFAULT_SIM_GUARD",
-    "Diagnostic",
     "EnumerationLimitError",
     "EquivVerdict",
     "EvalReport",
@@ -109,8 +104,6 @@ __all__ = [
     "iter_assignments",
     "merge_pass",
     "optimization_report",
-    "parse_anf",
-    "parse_poly",
     "q_matrix",
     "random_circuit",
     "random_valid_circuit",

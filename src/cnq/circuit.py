@@ -28,16 +28,17 @@ identity.  Control expressions in ``spec`` use the Anf grammar
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BadRootError,
+    CnqError,
     ParseError,
     SelfControlError,
     UndeclaredLineError,
     ZeroPowerError,
 )
-from .expr import Anf, _VAR_RE
+from .expr import Anf, _ExprParser, _VAR_RE
 
 _SUGAR = {"v": (2, 1), "v*": (2, 3), "w": (4, 1), "w*": (4, 7)}
 _SUGAR_BY_KP = {kp: name for name, kp in _SUGAR.items()}
@@ -74,22 +75,29 @@ class Gate:
         controls: Iterable[str],
         target: str,
     ) -> "Gate":
-        """Checked constructor: canonicalizes p and enforces gate invariants."""
-        if not _is_power_of_two(k):
-            raise BadRootError(f"root index must be a positive power of two, got {k}")
-        p_c = p % (2 * k)
-        if p_c == 0:
-            raise ZeroPowerError(f"power {p} is 0 mod {2 * k}: the identity gate")
+        """Checked constructor: enforces the gate shape rule and canonicalizes p."""
         ctrls = tuple(controls)
-        if len(set(ctrls)) != len(ctrls):
-            raise ParseError(f"duplicate control on gate targeting {target!r}")
-        if target in ctrls:
-            raise SelfControlError(f"line {target!r} controls its own gate")
-        return cls(k, p_c, ctrls, target)
+        for _, err in _gate_shape(k, p, ctrls, target):
+            raise err
+        return cls(k, p % (2 * k), ctrls, target)
 
     @property
     def is_not_family(self) -> bool:
         return self.p % (2 * self.k) == self.k
+
+    def __str__(self) -> str:
+        """The ``.cnq`` statement for this gate, using sugar where it applies."""
+        if self.k == 1 and self.p == 1:
+            if not self.controls:
+                return f"not {self.target}"
+            if len(self.controls) == 1:
+                return f"cnot {self.controls[0]} {self.target}"
+            return "ccx " + " ".join(self.controls) + f" {self.target}"
+        name = _SUGAR_BY_KP.get((self.k, self.p))
+        if name is not None and self.controls:
+            return f"{name} " + " ".join(self.controls) + f" -> {self.target}"
+        ctrl = (" ".join(self.controls) + " ") if self.controls else ""
+        return f"q k={self.k} p={self.p} {ctrl}-> {self.target}"
 
 
 @dataclass(frozen=True, eq=True)
@@ -127,7 +135,7 @@ class Circuit:
         for ln in self.lines:
             out.append(f"line {ln.name} target" if ln.is_target else f"line {ln.name}")
         for g in self.gates:
-            out.append(_render_gate(g))
+            out.append(str(g))
         for ln in self.lines:
             if ln.name in self.specs:
                 out.append(f"spec {ln.name} = {self.specs[ln.name]}")
@@ -135,36 +143,98 @@ class Circuit:
 
     # -- checks ---------------------------------------------------------------
 
-    def validate(self) -> "list[Diagnostic]":
-        return _validate(self)
+    def validate(self) -> list[CnqError]:
+        """Every well-formedness problem; a gate's problems carry its ``gate_index``."""
+        problems = [err for _, err in _circuit_rule(self.lines)]
+        declared: set[str] = set()
+        for ln in self.lines:
+            problems += (err for _, err in _line_rule(ln.name, declared))
+            declared.add(ln.name)
+        for i, g in enumerate(self.gates):
+            for _, err in _gate_rules(g.k, g.p, g.controls, g.target, declared):
+                err.gate_index = i
+                problems.append(err)
+        targets = set(self.target_names())
+        for name, expr in self.specs.items():
+            problems += (err for _, err in _spec_rule(name, expr, declared, targets))
+        return problems
 
     def gate_count(self) -> dict[str, int]:
         return _gate_count(self)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-    gate_index: int | None = None
+# -- well-formedness rules ----------------------------------------------------
+#
+# Each rule yields (offending name or None, error) for one item, checked
+# against the line names declared so far.  The parser raises the first
+# problem of each statement and locates it on the offending name's token;
+# Circuit.validate collects every problem of the whole circuit.
 
-    def __str__(self) -> str:
-        where = f" (gate {self.gate_index})" if self.gate_index is not None else ""
-        return f"{self.code}: {self.message}{where}"
+_Problem = tuple[str | None, CnqError]
 
 
-def _render_gate(g: Gate) -> str:
-    if g.k == 1 and g.p == 1:
-        if not g.controls:
-            return f"not {g.target}"
-        if len(g.controls) == 1:
-            return f"cnot {g.controls[0]} {g.target}"
-        return "ccx " + " ".join(g.controls) + f" {g.target}"
-    name = _SUGAR_BY_KP.get((g.k, g.p))
-    if name is not None and g.controls:
-        return f"{name} " + " ".join(g.controls) + f" -> {g.target}"
-    ctrl = (" ".join(g.controls) + " ") if g.controls else ""
-    return f"q k={g.k} p={g.p} {ctrl}-> {g.target}"
+def _circuit_rule(lines: Sequence[Line]) -> Iterator[_Problem]:
+    if not lines:
+        yield None, ParseError("circuit declares no lines")
+
+
+def _line_rule(name: str, declared: set[str]) -> Iterator[_Problem]:
+    if not _VAR_RE.match(name):
+        yield name, ParseError(f"invalid line name {name!r}")
+    elif name in declared:
+        yield name, ParseError(f"line {name!r} already declared")
+
+
+def _gate_scope(
+    controls: tuple[str, ...], target: str, declared: set[str]
+) -> Iterator[_Problem]:
+    for name in (*controls, target):
+        if name not in declared:
+            yield name, UndeclaredLineError(f"line {name!r} used before declaration")
+
+
+def _gate_shape(k: int, p: int, controls: tuple[str, ...], target: str) -> Iterator[_Problem]:
+    if not _is_power_of_two(k):
+        yield None, BadRootError(f"root index must be a positive power of two, got {k}")
+    elif p % (2 * k) == 0:
+        yield None, ZeroPowerError(f"power {p} is 0 mod {2 * k}: the identity gate")
+    if len(set(controls)) != len(controls):
+        yield None, ParseError(f"duplicate control on gate targeting {target!r}")
+    if target in controls:
+        yield None, SelfControlError(f"line {target!r} controls its own gate")
+
+
+def _gate_rules(
+    k: int, p: int, controls: tuple[str, ...], target: str, declared: set[str]
+) -> Iterator[_Problem]:
+    """Scope before shape: an undeclared name is reported ahead of a bad root."""
+    yield from _gate_scope(controls, target, declared)
+    yield from _gate_shape(k, p, controls, target)
+
+
+def _spec_rule(
+    name: str, expr: Anf, declared: set[str], targets: set[str]
+) -> Iterator[_Problem]:
+    if name not in declared:
+        yield name, UndeclaredLineError(f"line {name!r} used before declaration")
+    elif name not in targets:
+        yield name, ParseError(f"spec refers to non-target line {name!r}")
+    for v in sorted(expr.variables()):
+        if v not in declared:
+            yield v, UndeclaredLineError(f"line {v!r} used before declaration")
+
+
+def _raise_first(
+    problems: Iterable[_Problem],
+    lineno: int,
+    toks: Sequence[tuple[str, int]] = (),
+    col: int | None = None,
+) -> None:
+    """Raise the first problem at the column of its name in ``toks``, else at ``col``."""
+    for name, err in problems:
+        err.line = lineno
+        err.col = next((c for t, c in toks if t == name), col)
+        raise err
 
 
 # -- parser -------------------------------------------------------------------
@@ -190,17 +260,16 @@ def _tokenize(body: str) -> list[tuple[str, int]]:
 
 
 def _parse_circuit(text: str) -> Circuit:
+    """Parse statement by statement: grammar first, then the statement's rules.
+
+    Rules see only the lines declared so far, so a name must be declared
+    before it is used.
+    """
     lines: list[Line] = []
     declared: set[str] = set()
     targets: set[str] = set()
     gates: list[Gate] = []
     specs: dict[str, Anf] = {}
-
-    def need_declared(name: str, lineno: int, col: int) -> None:
-        if name not in declared:
-            raise UndeclaredLineError(
-                f"line {name!r} used before declaration", line=lineno, col=col
-            )
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0]
@@ -209,161 +278,97 @@ def _parse_circuit(text: str) -> Circuit:
         toks = _tokenize(body)
         head, hcol = toks[0]
 
-        try:
-            if head == "line":
-                if len(toks) < 2 or len(toks) > 3:
-                    raise ParseError("expected: line <id> [target]", line=lineno, col=hcol)
-                name, ncol = toks[1]
-                if not _VAR_RE.match(name):
-                    raise ParseError(f"invalid line name {name!r}", line=lineno, col=ncol)
-                if name in declared:
-                    raise ParseError(f"line {name!r} already declared", line=lineno, col=ncol)
-                is_target = False
-                if len(toks) == 3:
-                    role, rcol = toks[2]
-                    if role != "target":
-                        raise ParseError(
-                            f"expected 'target' or end of line, got {role!r}",
-                            line=lineno,
-                            col=rcol,
-                        )
-                    is_target = True
-                declared.add(name)
-                if is_target:
-                    targets.add(name)
-                lines.append(Line(name, is_target))
-
-            elif head == "spec":
-                eq = body.find("=")
-                if eq < 0:
-                    raise ParseError("expected: spec <target> = <expr>", line=lineno, col=hcol)
-                left = _tokenize(body[:eq])
-                if len(left) != 2:
-                    raise ParseError("expected: spec <target> = <expr>", line=lineno, col=hcol)
-                name, ncol = left[1]
-                need_declared(name, lineno, ncol)
-                if name not in targets:
+        if head == "line":
+            if len(toks) < 2 or len(toks) > 3:
+                raise ParseError("expected: line <id> [target]", line=lineno, col=hcol)
+            name = toks[1][0]
+            _raise_first(_line_rule(name, declared), lineno, toks[1:2])
+            is_target = False
+            if len(toks) == 3:
+                role, rcol = toks[2]
+                if role != "target":
                     raise ParseError(
-                        f"spec refers to non-target line {name!r}", line=lineno, col=ncol
+                        f"expected 'target' or end of line, got {role!r}",
+                        line=lineno,
+                        col=rcol,
                     )
-                if name in specs:
-                    raise ParseError(f"duplicate spec for line {name!r}", line=lineno, col=ncol)
-                from .expr import _ExprParser
+                is_target = True
+            declared.add(name)
+            if is_target:
+                targets.add(name)
+            lines.append(Line(name, is_target))
 
+        elif head == "spec":
+            eq = body.find("=")
+            if eq < 0:
+                raise ParseError("expected: spec <target> = <expr>", line=lineno, col=hcol)
+            left = _tokenize(body[:eq])
+            if len(left) != 2:
+                raise ParseError("expected: spec <target> = <expr>", line=lineno, col=hcol)
+            name, ncol = left[1]
+            if name in specs:
+                raise ParseError(f"duplicate spec for line {name!r}", line=lineno, col=ncol)
+            try:
                 expr = _ExprParser(body[eq + 1 :], col_offset=eq + 1).run_anf()
-                for v in sorted(expr.variables()):
-                    need_declared(v, lineno, eq + 2)
-                specs[name] = expr
-
-            elif head in ("not", "cnot", "ccx"):
-                args = toks[1:]
-                min_args = {"not": 1, "cnot": 2, "ccx": 2}[head]
-                if len(args) < min_args or (head != "ccx" and len(args) != min_args):
-                    raise ParseError(f"malformed {head} statement", line=lineno, col=hcol)
-                for name, ncol in args:
-                    need_declared(name, lineno, ncol)
-                *ctrls, (tname, _) = args
-                gates.append(Gate.make(1, 1, (c for c, _ in ctrls), tname))
-
-            elif head in _SUGAR or head == "q":
-                arrow = next((i for i, (t, _) in enumerate(toks) if t == "->"), None)
-                if arrow is None or arrow != len(toks) - 2:
-                    raise ParseError(
-                        "expected: ... -> <line> with exactly one target", line=lineno, col=hcol
-                    )
-                params = toks[1:arrow]
-                tname, tcol = toks[-1]
-                if head == "q":
-                    if (
-                        len(params) < 2
-                        or not params[0][0].startswith("k=")
-                        or not params[1][0].startswith("p=")
-                    ):
-                        raise ParseError(
-                            "expected: q k=<int> p=<int> [controls] -> <line>",
-                            line=lineno,
-                            col=hcol,
-                        )
-                    try:
-                        k = int(params[0][0][2:])
-                    except ValueError:
-                        raise ParseError(
-                            f"bad root index {params[0][0][2:]!r}", line=lineno, col=params[0][1]
-                        ) from None
-                    try:
-                        p = int(params[1][0][2:])
-                    except ValueError:
-                        raise ParseError(
-                            f"bad power {params[1][0][2:]!r}", line=lineno, col=params[1][1]
-                        ) from None
-                    ctrl_toks = params[2:]
-                else:
-                    k, p = _SUGAR[head]
-                    ctrl_toks = params
-                for name, ncol in ctrl_toks:
-                    need_declared(name, lineno, ncol)
-                need_declared(tname, lineno, tcol)
-                gates.append(Gate.make(k, p, (c for c, _ in ctrl_toks), tname))
-
-            else:
-                raise ParseError(f"unknown statement {head!r}", line=lineno, col=hcol)
-
-        except (BadRootError, ZeroPowerError, SelfControlError, ParseError) as exc:
-            if exc.line is None:
+            except ParseError as exc:
                 exc.line = lineno
-                exc.args = (exc.describe(),)
-            raise
+                # the name comes first in the text, so its problems come first
+                _raise_first(_spec_rule(name, Anf.zero(), declared, targets), lineno, left[1:])
+                raise
+            _raise_first(_spec_rule(name, expr, declared, targets), lineno, left[1:], eq + 2)
+            specs[name] = expr
 
-    if not lines:
-        raise ParseError("circuit declares no lines", line=1, col=1)
-    return Circuit(tuple(lines), tuple(gates), specs)
+        elif head in ("not", "cnot", "ccx"):
+            args = toks[1:]
+            min_args = {"not": 1, "cnot": 2, "ccx": 2}[head]
+            if len(args) < min_args or (head != "ccx" and len(args) != min_args):
+                raise ParseError(f"malformed {head} statement", line=lineno, col=hcol)
+            ctrls, target = tuple(c for c, _ in args[:-1]), args[-1][0]
+            _raise_first(_gate_rules(1, 1, ctrls, target, declared), lineno, args)
+            gates.append(Gate(1, 1, ctrls, target))
 
-
-# -- validation ----------------------------------------------------------------
-
-
-def _validate(c: Circuit) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    seen: set[str] = set()
-    for ln in c.lines:
-        if ln.name in seen:
-            diags.append(Diagnostic("E_SYNTAX", f"line {ln.name!r} declared twice"))
-        seen.add(ln.name)
-    if not c.lines:
-        diags.append(Diagnostic("E_SYNTAX", "circuit declares no lines"))
-    targets = {ln.name for ln in c.lines if ln.is_target}
-
-    for i, g in enumerate(c.gates):
-        if not _is_power_of_two(g.k):
-            diags.append(
-                Diagnostic("E_BAD_K", f"root index {g.k} is not a positive power of two", i)
-            )
-            continue
-        if g.p % (2 * g.k) == 0:
-            diags.append(Diagnostic("E_ZERO_POWER", f"power {g.p} is 0 mod {2 * g.k}", i))
-        if g.target not in seen:
-            diags.append(Diagnostic("E_UNDECLARED_LINE", f"unknown target {g.target!r}", i))
-        for ctrl in g.controls:
-            if ctrl not in seen:
-                diags.append(Diagnostic("E_UNDECLARED_LINE", f"unknown control {ctrl!r}", i))
-        if g.target in g.controls:
-            diags.append(
-                Diagnostic("E_SELF_CONTROL", f"line {g.target!r} controls its own gate", i)
-            )
-        if len(set(g.controls)) != len(g.controls):
-            diags.append(Diagnostic("E_SYNTAX", f"duplicate control on gate {i}", i))
-
-    for name, expr in c.specs.items():
-        if name not in seen:
-            diags.append(Diagnostic("E_UNDECLARED_LINE", f"spec for unknown line {name!r}"))
-        elif name not in targets:
-            diags.append(Diagnostic("E_SYNTAX", f"spec for non-target line {name!r}"))
-        for v in sorted(expr.variables()):
-            if v not in seen:
-                diags.append(
-                    Diagnostic("E_UNDECLARED_LINE", f"spec for {name!r} uses unknown line {v!r}")
+        elif head in _SUGAR or head == "q":
+            arrow = next((i for i, (t, _) in enumerate(toks) if t == "->"), None)
+            if arrow is None or arrow != len(toks) - 2:
+                raise ParseError(
+                    "expected: ... -> <line> with exactly one target", line=lineno, col=hcol
                 )
-    return diags
+            params = toks[1:arrow]
+            if head == "q":
+                if (
+                    len(params) < 2
+                    or not params[0][0].startswith("k=")
+                    or not params[1][0].startswith("p=")
+                ):
+                    raise ParseError(
+                        "expected: q k=<int> p=<int> [controls] -> <line>",
+                        line=lineno,
+                        col=hcol,
+                    )
+                try:
+                    k = int(params[0][0][2:])
+                except ValueError:
+                    raise ParseError(
+                        f"bad root index {params[0][0][2:]!r}", line=lineno, col=params[0][1]
+                    ) from None
+                try:
+                    p = int(params[1][0][2:])
+                except ValueError:
+                    raise ParseError(
+                        f"bad power {params[1][0][2:]!r}", line=lineno, col=params[1][1]
+                    ) from None
+                params = params[2:]
+            else:
+                k, p = _SUGAR[head]
+            ctrls, target = tuple(c for c, _ in params), toks[-1][0]
+            _raise_first(_gate_rules(k, p, ctrls, target, declared), lineno, (*params, toks[-1]))
+            gates.append(Gate(k, p % (2 * k), ctrls, target))
+
+        else:
+            raise ParseError(f"unknown statement {head!r}", line=lineno, col=hcol)
+
+    _raise_first(_circuit_rule(lines), 1, col=1)
+    return Circuit(tuple(lines), tuple(gates), specs)
 
 
 # -- gate census ----------------------------------------------------------------

@@ -8,6 +8,7 @@ Subcommands::
     check     cross-check the calculus against simulation
     optimize  one merge pass; prints the rewritten circuit
     equiv     compare two circuits line by line
+    fuzz      cross-check seeded random circuits against simulation
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or parse error,
 3 control taken from a non-Boolean line, 4 enumeration/simulation guard
@@ -50,9 +51,9 @@ SIMULATE_ENUM_LIMIT = 8
 
 def _load(path: str) -> Circuit:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        err = CnqError(f"cannot read {path}: {exc.strerror or exc}")
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        err = CnqError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
         err.code = "E_IO"
         raise err from None
     return Circuit.parse(text)
@@ -97,11 +98,11 @@ def _cmd_verify(args) -> int:
     if not c.specs:
         print("error: circuit has no spec lines to verify", file=sys.stderr)
         return EXIT_USAGE
-    verdicts = check_spec(c, guard=args.guard_enum)
+    report = evaluate(c)
+    verdicts = check_spec(report, guard=args.guard_enum)
     ok = all(v.passed for v in verdicts)
     if args.format == "structured":
         doc = _document("verify", "PASS" if ok else "FAIL", c)
-        report = evaluate(c)
         doc["lines"] = report.to_dict()["lines"]
         doc["specs"] = [v.to_dict() for v in verdicts]
         doc["diagnostics"] = [
@@ -331,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_equiv)
 
-    # intentionally undocumented: random self-test
-    sp = sub.add_parser("fuzz")
+    sp = sub.add_parser("fuzz", help="cross-check seeded random circuits")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=200)
     _add_common(sp)

@@ -25,7 +25,10 @@ class CnqError(Exception):
         self.line = line
         self.col = col
         self.gate_index = gate_index
-        super().__init__(self.describe())
+        super().__init__(message)
+
+    def __str__(self) -> str:
+        return self.describe()
 
     def describe(self) -> str:
         loc = ""

@@ -423,7 +423,10 @@ class _ExprParser:
     # Anf grammar
 
     def run_anf(self) -> Anf:
-        out = self._anf_expr()
+        try:
+            out = self._anf_expr()
+        except RecursionError:
+            raise self._err("expression nested too deeply", 1) from None
         self._expect_end()
         return out
 
@@ -487,11 +490,3 @@ class _ExprParser:
                 continue
             break
         return MlPoly({frozenset(monomial): coeff})
-
-
-def parse_anf(text: str) -> Anf:
-    return Anf.parse(text)
-
-
-def parse_poly(text: str) -> MlPoly:
-    return MlPoly.parse(text)

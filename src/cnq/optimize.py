@@ -21,19 +21,7 @@ from dataclasses import dataclass, field
 
 from .circuit import Circuit, Gate
 from .expr import Anf
-from .symbolic import equivalent, evaluate
-
-
-@dataclass(frozen=True)
-class Contribution:
-    """One gate's entry in a target exponent."""
-
-    gate_index: int
-    target: str
-    k: int
-    p: int
-    resolved_control: Anf
-    episode: int
+from .symbolic import GateRecord, equivalent, evaluate
 
 
 @dataclass
@@ -45,13 +33,11 @@ class Change:
     note: str = ""
 
     def to_dict(self) -> dict:
-        from .circuit import _render_gate
-
         return {
             "kind": self.kind,
             "target": self.target,
             "gate_indices": list(self.gate_indices),
-            "replacement": None if self.replacement is None else _render_gate(self.replacement),
+            "replacement": None if self.replacement is None else str(self.replacement),
             "note": self.note,
         }
 
@@ -70,26 +56,15 @@ def merge_pass(circuit: Circuit, *, verify: bool = True) -> MergeResult:
     """
     report = evaluate(circuit, collect_trace=True)
 
-    contributions: list[Contribution] = []
+    # per-episode root: the maximum k absorbed during that stretch
+    episode_k: dict[tuple[str, int], int] = {}
+    groups: dict[tuple[str, int, Anf], list[GateRecord]] = {}
     for rec in report.trace:
         if not rec.absorbed:
             continue
-        g = circuit.gates[rec.index]
-        contributions.append(
-            Contribution(
-                rec.index, rec.target, g.k, g.p % (2 * g.k), rec.resolved_control, rec.episode
-            )
-        )
-
-    # per-episode root: the maximum k absorbed during that stretch
-    episode_k: dict[tuple[str, int], int] = {}
-    for con in contributions:
-        key = (con.target, con.episode)
-        episode_k[key] = max(episode_k.get(key, 1), con.k)
-
-    groups: dict[tuple[str, int, Anf], list[Contribution]] = {}
-    for con in contributions:
-        groups.setdefault((con.target, con.episode, con.resolved_control), []).append(con)
+        key = (rec.target, rec.episode)
+        episode_k[key] = max(episode_k.get(key, 1), circuit.gates[rec.index].k)
+        groups.setdefault((*key, rec.resolved_control), []).append(rec)
 
     drop: set[int] = set()
     emit: dict[int, Gate | None] = {}
@@ -98,26 +73,25 @@ def merge_pass(circuit: Circuit, *, verify: bool = True) -> MergeResult:
         if len(members) < 2:
             continue
         k_ep = episode_k[(target, episode)]
-        total = sum(con.p * (k_ep // con.k) for con in members) % (2 * k_ep)
-        last = members[-1]
-        indices = [con.gate_index for con in members]
-        last_gate = circuit.gates[last.gate_index]
-        for idx in indices:
-            drop.add(idx)
+        indices = [rec.index for rec in members]
+        group = [circuit.gates[i] for i in indices]
+        total = sum(g.p * (k_ep // g.k) for g in group) % (2 * k_ep)
+        last, last_gate = indices[-1], group[-1]
+        drop.update(indices)
         if total == 0:
-            emit[last.gate_index] = None
+            emit[last] = None
             changes.append(
                 Change("cancel", target, indices, None, "contributions sum to the identity")
             )
         elif total == k_ep:
             g = Gate.make(1, 1, last_gate.controls, target)
-            emit[last.gate_index] = g
+            emit[last] = g
             changes.append(
                 Change("promote", target, indices, g, "contributions sum to NOT")
             )
         else:
             g = Gate.make(k_ep, total, last_gate.controls, target)
-            emit[last.gate_index] = g
+            emit[last] = g
             changes.append(Change("merge", target, indices, g))
 
     new_gates: list[Gate] = []
@@ -160,13 +134,9 @@ class OptimizationReport:
             if ch.kind == "cancel":
                 out.append(f"cancel  {what} on {ch.target}: {ch.note}")
             elif ch.kind == "promote":
-                from .circuit import _render_gate
-
-                out.append(f"promote {what} on {ch.target} -> {_render_gate(ch.replacement)}")
+                out.append(f"promote {what} on {ch.target} -> {ch.replacement}")
             else:
-                from .circuit import _render_gate
-
-                out.append(f"merge   {what} on {ch.target} -> {_render_gate(ch.replacement)}")
+                out.append(f"merge   {what} on {ch.target} -> {ch.replacement}")
         if not self.changes:
             out.append("no mergeable gate groups")
         return "\n".join(out)

@@ -228,17 +228,24 @@ class SpecVerdict:
         }
 
 
-def check_spec(circuit: Circuit, *, guard: int = DEFAULT_ENUM_GUARD) -> list[SpecVerdict]:
+def check_spec(
+    circuit: Circuit | EvalReport, *, guard: int = DEFAULT_ENUM_GUARD
+) -> list[SpecVerdict]:
     """Compare every spec line against the evaluated output of its line.
 
-    Equality is canonical-form equality of Anfs.  On failure the verdict
-    carries the first assignment (counting order over the sorted variable
-    union) where the two functions differ, provided the variable count
-    stays within ``guard``.
+    Pass an :class:`EvalReport` instead of a circuit to reuse an evaluation
+    already made.  Equality is canonical-form equality of Anfs.  On failure
+    the verdict carries the first assignment (counting order over the
+    sorted variable union) where the two functions differ, provided the
+    variable count stays within ``guard``.
     """
+    report = circuit if isinstance(circuit, EvalReport) else None
+    if report is not None:
+        circuit = report.circuit
     if not circuit.specs:
         raise ValueError("circuit has no spec lines to check")
-    report = evaluate(circuit)
+    if report is None:
+        report = evaluate(circuit)
     verdicts = []
     for name in circuit.line_names:
         if name not in circuit.specs:

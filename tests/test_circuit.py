@@ -1,11 +1,15 @@
 """Circuit text format: parser, renderer, validation, gate census."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cnq import (
     Anf,
     BadRootError,
     Circuit,
+    CnqError,
     Gate,
     Line,
     ParseError,
@@ -98,6 +102,12 @@ def test_fixtures_round_trip(name):
         ("line t target\nspec t = t ^ q", UndeclaredLineError, (2, None)),
         ("line t target\nspec t = t\nspec t = 0", ParseError, (3, 6)),
         ("line t target\nspec t = t ^^ 1", ParseError, (2, None)),
+        pytest.param(
+            "line t target\nspec t = " + "(" * 3000 + "t" + ")" * 3000,
+            ParseError,
+            (2, None),
+            id="spec-nested-3000-deep",
+        ),
     ],
 )
 def test_parse_errors_carry_location(text, err, loc):
@@ -182,6 +192,74 @@ def test_validate_collects_diagnostics():
         "E_ZERO_POWER",
     ]
     assert "gate 0" in str(next(d for d in c.validate() if d.code == "E_BAD_K"))
+
+
+def test_validate_checks_every_rule_of_a_bad_gate():
+    c = Circuit((Line("t", True),), (Gate(3, 1, ("z",), "t"),))
+    assert sorted(e.code for e in c.validate()) == ["E_BAD_K", "E_UNDECLARED_LINE"]
+
+
+# Line names: valid identifiers, invalid ones, and "z", which is never declared.
+_VALID_NAMES = ("a", "b", "c", "t", "u")
+_INVALID_NAMES = ("2x", "a-b", "x.y")
+_USED_NAMES = _VALID_NAMES + _INVALID_NAMES + ("z",)
+
+
+@st.composite
+def _circuits(draw):
+    """Circuits built directly, bypassing Gate.make.
+
+    Each part (lines, gates, specs) keeps to well-formed choices three
+    times in four, so that the round-trip direction of the property runs
+    often; otherwise it may break any rule.
+    """
+    mostly = st.integers(0, 3).map(bool)
+    strict = draw(mostly)
+    line = st.builds(
+        Line,
+        st.sampled_from(_VALID_NAMES if strict else _VALID_NAMES + _INVALID_NAMES),
+        st.booleans(),
+    )
+    lines = draw(
+        st.lists(line, min_size=1, max_size=4, unique_by=lambda ln: ln.name)
+        if strict
+        else st.lists(line, max_size=4)
+    )
+    declared = [ln.name for ln in lines]
+    strict = draw(mostly) and bool(declared)
+    names = st.sampled_from(declared if strict else declared + list(_USED_NAMES))
+    gates = []
+    for _ in range(draw(st.integers(0, 4))):
+        target = draw(names)
+        controls = tuple(draw(st.lists(names, max_size=3, unique=strict)))
+        if strict:
+            controls = tuple(c for c in controls if c != target)
+            k, p = draw(st.sampled_from((1, 2, 4, 8))), 2 * draw(st.integers()) + 1
+        else:
+            k, p = draw(st.integers(0, 8)), draw(st.integers())
+        gates.append(Gate(k, p, controls, target))
+    strict = draw(mostly)
+    spec_lines = [ln.name for ln in lines if ln.is_target or not strict]
+    if not strict:
+        spec_lines += _USED_NAMES
+    variables = st.sampled_from(declared if strict else declared + ["z"])
+    anf = st.lists(st.lists(variables, max_size=2), max_size=3).map(Anf)
+    specs = draw(st.dictionaries(st.sampled_from(spec_lines), anf, max_size=2)) if spec_lines else {}
+    return Circuit(tuple(lines), tuple(gates), specs)
+
+
+@given(_circuits())
+@example(Circuit((Line("2x"), Line("t", True)), ()))
+def test_parser_and_validate_share_one_rulebook(c):
+    problems = c.validate()
+    try:
+        parsed = Circuit.parse(str(c))
+    except CnqError as exc:
+        assert exc.code in {e.code for e in problems}
+        return
+    if not problems:
+        canonical = tuple(Gate(g.k, g.p % (2 * g.k), g.controls, g.target) for g in c.gates)
+        assert parsed == replace(c, gates=canonical)
 
 
 # -- gate census ---------------------------------------------------------------------

@@ -51,6 +51,14 @@ def test_usage_errors_exit_two(capsys):
     assert "E_IO" in err
 
 
+def test_undecodable_file_exits_two(capsys, tmp_path):
+    binary = tmp_path / "bin.cnq"
+    binary.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "eval", str(binary))
+    assert code == 2
+    assert "E_IO" in err
+
+
 def test_parse_error_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.cnq"
     bad.write_text("line a\nfrobnicate a\n")

@@ -12,8 +12,6 @@ from cnq import (
     UnboundVariableError,
     display_anf,
     iter_assignments,
-    parse_anf,
-    parse_poly,
 )
 
 VARS = ["a", "b", "c", "d"]
@@ -79,7 +77,6 @@ def test_display_anf_factors_common_variables():
 @given(anfs)
 def test_anf_parse_str_round_trip(x):
     assert Anf.parse(str(x)) == x
-    assert parse_anf(str(x)) == x
 
 
 @given(anfs)
@@ -173,7 +170,6 @@ def test_reduce_mod_canonical_residues():
 @given(polys)
 def test_poly_parse_str_round_trip(p):
     assert MlPoly.parse(str(p)) == p
-    assert parse_poly(str(p)) == p
 
 
 @given(polys, polys, points)
