@@ -18,7 +18,7 @@ print("== the circuit ==")
 print(circuit)
 
 print("== gate-by-gate absorption on the target lines ==")
-report = evaluate(circuit, collect_trace=True)
+report = evaluate(circuit)
 for rec in report.trace:
     gate = circuit.gates[rec.index]
     kind = "absorbed" if rec.absorbed else "xor"

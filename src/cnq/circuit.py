@@ -3,9 +3,9 @@
 A circuit is an ordered list of named lines, an ordered list of gates and
 optional per-line output specifications.  Every gate applies Q^p to its
 target when all controls are 1, where Q is the k-th root of NOT:
-Q^k = NOT and Q^(2k) = I, with k a power of two.  The NOT family is the
-special case p = k; it is stored with k=1, p=1 when written with the
-``not``/``cnot``/``ccx`` sugar.
+Q^k = NOT and Q^(2k) = I, with k a power of two up to ``MAX_ROOT`` = 2^20.
+The NOT family is the special case p = k; it is stored with k=1, p=1 when
+written with the ``not``/``cnot``/``ccx`` sugar.
 
 Statement forms (one per line, ``#`` starts a comment)::
 
@@ -42,6 +42,10 @@ from .expr import Anf, _ExprParser, _VAR_RE
 
 _SUGAR = {"v": (2, 1), "v*": (2, 3), "w": (4, 1), "w*": (4, 7)}
 _SUGAR_BY_KP = {kp: name for name, kp in _SUGAR.items()}
+
+# Largest root index.  Adjacent exponents at root k differ in amplitude by about
+# pi/(2k): 1.5e-6 at 2^20, far above cross_check's 1e-9 tolerance (7.3e-10 at 2^31).
+MAX_ROOT = 1 << 20
 
 
 def _is_power_of_two(k: int) -> bool:
@@ -104,7 +108,8 @@ class Gate:
 class Circuit:
     lines: tuple[Line, ...] = ()
     gates: tuple[Gate, ...] = ()
-    specs: Mapping[str, Anf] = field(default_factory=dict)
+    # equal circuits still hash equal: __eq__ compares specs, __hash__ skips them
+    specs: Mapping[str, Anf] = field(default_factory=dict, hash=False)
 
     # -- access helpers ------------------------------------------------------
 
@@ -167,7 +172,8 @@ class Circuit:
 #
 # Each rule yields (offending name or None, error) for one item, checked
 # against the line names declared so far.  The parser raises the first
-# problem of each statement and locates it on the offending name's token;
+# problem of each statement and locates it on the offending name's token
+# (a bad root's name is "k=", the root's token in a ``q`` statement);
 # Circuit.validate collects every problem of the whole circuit.
 
 _Problem = tuple[str | None, CnqError]
@@ -195,7 +201,9 @@ def _gate_scope(
 
 def _gate_shape(k: int, p: int, controls: tuple[str, ...], target: str) -> Iterator[_Problem]:
     if not _is_power_of_two(k):
-        yield None, BadRootError(f"root index must be a positive power of two, got {k}")
+        yield "k=", BadRootError(f"root index must be a positive power of two, got {k}")
+    elif k > MAX_ROOT:
+        yield "k=", BadRootError(f"root index {k} exceeds the limit 2^20 = {MAX_ROOT}")
     elif p % (2 * k) == 0:
         yield None, ZeroPowerError(f"power {p} is 0 mod {2 * k}: the identity gate")
     if len(set(controls)) != len(controls):
@@ -361,7 +369,9 @@ def _parse_circuit(text: str) -> Circuit:
             else:
                 k, p = _SUGAR[head]
             ctrls, target = tuple(c for c, _ in params), toks[-1][0]
-            _raise_first(_gate_rules(k, p, ctrls, target, declared), lineno, (*params, toks[-1]))
+            # only a q statement can have a bad root; it is reported at its k= token
+            located = (("k=", toks[1][1]), *params, toks[-1])
+            _raise_first(_gate_rules(k, p, ctrls, target, declared), lineno, located)
             gates.append(Gate(k, p % (2 * k), ctrls, target))
 
         else:

@@ -9,6 +9,7 @@ Subcommands::
     optimize  one merge pass; prints the rewritten circuit
     equiv     compare two circuits line by line
     fuzz      cross-check seeded random circuits against simulation
+              (``--count N`` circuits, N >= 1)
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or parse error,
 3 control taken from a non-Boolean line, 4 enumeration/simulation guard
@@ -158,10 +159,7 @@ def _cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    states = []
-    for pt in points:
-        sv = simulate(c, pt, guard=args.guard_sim)
-        states.append((pt, sv))
+    states = [(pt, simulate(c, pt, guard=args.guard_sim)) for pt in points]
     if args.format == "structured":
         doc = _document("simulate", None, c)
         doc["lines"] = {ln.name: {"role": ln.role} for ln in c.lines}
@@ -255,6 +253,9 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.count < 1:
+        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
+        return EXIT_USAGE
     res = self_test(args.seed, args.count)
     if args.format == "structured":
         doc = _document("fuzz", "PASS" if res.passed else "FAIL", None)
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fuzz", help="cross-check seeded random circuits")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=200)
+    sp.add_argument("--count", type=int, default=200, help="circuits to check, at least 1")
     _add_common(sp)
     sp.set_defaults(func=_cmd_fuzz)
 

@@ -485,8 +485,6 @@ class _ExprParser:
                 monomial.add(tok)
             else:
                 raise self._err(f"expected a variable or integer, got {tok!r}", col)
-            if self._peek() == "*":
-                self._next()
-                continue
-            break
-        return MlPoly({frozenset(monomial): coeff})
+            if self._peek() != "*":
+                return MlPoly({frozenset(monomial): coeff})
+            self._next()

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, Gate, Line
 from .errors import TargetInteractionError
 from .oracle import cross_check
-from .symbolic import evaluate
+from .symbolic import EvalReport, evaluate
 
 ROOTS = (1, 2, 4, 8)
 
@@ -35,16 +35,19 @@ def random_circuit(
     return Circuit(lines, tuple(gates))
 
 
-def random_valid_circuit(rng: random.Random, **kwargs) -> Circuit:
-    """A random circuit whose controls stay Boolean throughout."""
+def _draw(rng: random.Random, **kwargs) -> EvalReport:
+    """The evaluation of the first ``random_circuit`` whose controls stay Boolean."""
     for _ in range(1000):
-        c = random_circuit(rng, **kwargs)
         try:
-            evaluate(c)
+            return evaluate(random_circuit(rng, **kwargs))
         except TargetInteractionError:
             continue
-        return c
     raise RuntimeError("could not draw an evaluable random circuit")
+
+
+def random_valid_circuit(rng: random.Random, **kwargs) -> Circuit:
+    """A random circuit whose controls stay Boolean throughout."""
+    return _draw(rng, **kwargs).circuit
 
 
 @dataclass
@@ -62,10 +65,10 @@ def self_test(seed: int, count: int = 200, **kwargs) -> SelfTestResult:
     rng = random.Random(seed)
     failures = []
     for i in range(count):
-        c = random_valid_circuit(rng, **kwargs)
-        res = cross_check(c, evaluate(c))
+        report = _draw(rng, **kwargs)
+        res = cross_check(report.circuit, report)
         if not res.passed:
             failures.append(
-                f"circuit {i}: witness {res.witness}, {res.detail}\n{c}"
+                f"circuit {i}: witness {res.witness}, {res.detail}\n{report.circuit}"
             )
     return SelfTestResult(count, failures)

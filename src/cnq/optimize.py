@@ -48,13 +48,13 @@ class MergeResult:
     changes: list[Change]
 
 
-def merge_pass(circuit: Circuit, *, verify: bool = True) -> MergeResult:
+def merge_pass(circuit: Circuit) -> MergeResult:
     """One sound merging sweep; never increases the gate count.
 
-    With ``verify`` (the default at this problem scale) the rewritten
-    circuit is checked equivalent to the input before being returned.
+    A rewritten circuit is proved equivalent to the input, from the one
+    evaluation of the input that found the groups, before it is returned.
     """
-    report = evaluate(circuit, collect_trace=True)
+    report = evaluate(circuit)
 
     # per-episode root: the maximum k absorbed during that stretch
     episode_k: dict[tuple[str, int], int] = {}
@@ -66,8 +66,8 @@ def merge_pass(circuit: Circuit, *, verify: bool = True) -> MergeResult:
         episode_k[key] = max(episode_k.get(key, 1), circuit.gates[rec.index].k)
         groups.setdefault((*key, rec.resolved_control), []).append(rec)
 
-    drop: set[int] = set()
-    emit: dict[int, Gate | None] = {}
+    # gate index -> what stands there after the pass (None: nothing)
+    replaced: dict[int, Gate | None] = {}
     changes: list[Change] = []
     for (target, episode, _ctrl), members in groups.items():
         if len(members) < 2:
@@ -76,35 +76,23 @@ def merge_pass(circuit: Circuit, *, verify: bool = True) -> MergeResult:
         indices = [rec.index for rec in members]
         group = [circuit.gates[i] for i in indices]
         total = sum(g.p * (k_ep // g.k) for g in group) % (2 * k_ep)
-        last, last_gate = indices[-1], group[-1]
-        drop.update(indices)
+        controls = group[-1].controls
         if total == 0:
-            emit[last] = None
-            changes.append(
-                Change("cancel", target, indices, None, "contributions sum to the identity")
-            )
+            change = Change("cancel", target, indices, None, "contributions sum to the identity")
         elif total == k_ep:
-            g = Gate.make(1, 1, last_gate.controls, target)
-            emit[last] = g
-            changes.append(
-                Change("promote", target, indices, g, "contributions sum to NOT")
-            )
+            g = Gate.make(1, 1, controls, target)
+            change = Change("promote", target, indices, g, "contributions sum to NOT")
         else:
-            g = Gate.make(k_ep, total, last_gate.controls, target)
-            emit[last] = g
-            changes.append(Change("merge", target, indices, g))
+            change = Change("merge", target, indices, Gate.make(k_ep, total, controls, target))
+        replaced.update(dict.fromkeys(indices[:-1]))
+        replaced[indices[-1]] = change.replacement
+        changes.append(change)
 
-    new_gates: list[Gate] = []
-    for i, g in enumerate(circuit.gates):
-        if i in drop:
-            if i in emit and emit[i] is not None:
-                new_gates.append(emit[i])
-            continue
-        new_gates.append(g)
-    merged = circuit.with_gates(new_gates)
+    kept = (replaced.get(i, g) for i, g in enumerate(circuit.gates))
+    merged = circuit.with_gates(g for g in kept if g is not None)
 
-    if verify and changes:
-        check = equivalent(circuit, merged)
+    if changes:
+        check = equivalent(report, merged)
         if not check.passed:
             raise AssertionError(
                 f"merge produced a non-equivalent circuit: {check.details}"
@@ -130,13 +118,8 @@ class OptimizationReport:
             f"{self.after['total_controlled']}"
         ]
         for ch in self.changes:
-            what = f"gates {ch.gate_indices}"
-            if ch.kind == "cancel":
-                out.append(f"cancel  {what} on {ch.target}: {ch.note}")
-            elif ch.kind == "promote":
-                out.append(f"promote {what} on {ch.target} -> {ch.replacement}")
-            else:
-                out.append(f"merge   {what} on {ch.target} -> {ch.replacement}")
+            tail = f": {ch.note}" if ch.kind == "cancel" else f" -> {ch.replacement}"
+            out.append(f"{ch.kind:<7} gates {ch.gate_indices} on {ch.target}{tail}")
         if not self.changes:
             out.append("no mergeable gate groups")
         return "\n".join(out)

@@ -82,18 +82,23 @@ class TargetState:
 class LineOutcome:
     """Final value of one line: a Boolean form and/or the exponent state.
 
-    ``status`` is ``pure`` (never left the Boolean domain), ``collapsed``
-    (was tainted, holds a Boolean value again) or ``residual`` (still a
-    fractional power of NOT; ``value`` is None).  For tainted lines
-    ``state`` records the target state at the line's most recent collapse
-    attempt, successful or not.
+    ``value`` is None when the line still holds a fractional power of NOT.
+    For tainted lines ``state`` records the target state at the line's most
+    recent collapse attempt, successful or not; it is None for lines that
+    never left the Boolean domain.
     """
 
     name: str
     is_target: bool
-    status: str
     value: Anf | None
     state: TargetState | None
+
+    @property
+    def status(self) -> str:
+        """``pure`` (never tainted), ``collapsed`` (Boolean again) or ``residual``."""
+        if self.value is None:
+            return "residual"
+        return "pure" if self.state is None else "collapsed"
 
 
 @dataclass
@@ -109,10 +114,12 @@ class GateRecord:
 
 @dataclass
 class EvalReport:
+    """One evaluation of ``circuit``: line outcomes plus a trace record per gate."""
+
     circuit: Circuit
     outcomes: dict[str, LineOutcome]
     warnings: list[str] = field(default_factory=list)
-    trace: list[GateRecord] | None = None
+    trace: list[GateRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         lines = {}
@@ -134,26 +141,25 @@ class EvalReport:
         width = max(len(n) for n in self.outcomes) if self.outcomes else 0
         for name, oc in self.outcomes.items():
             tag = f"{name:<{width}}" + (" [target]" if oc.is_target else " " * 9)
-            if oc.status == "pure":
-                out.append(f"{tag} : {display_anf(oc.value)}")
-            elif oc.status == "collapsed":
-                out.append(f"{tag} : {display_anf(oc.value)}")
-                out.append(f"{'':<{width}}             collapsed from {oc.state}")
-            else:
+            if oc.value is None:
                 out.append(f"{tag} : no Boolean form ({oc.state})")
+            else:
+                out.append(f"{tag} : {display_anf(oc.value)}")
+                if oc.state is not None:
+                    out.append(f"{'':<{width}}             collapsed from {oc.state}")
         for w in self.warnings:
             out.append(f"warning: {w}")
         return "\n".join(out)
 
 
-def evaluate(circuit: Circuit, *, collect_trace: bool = False) -> EvalReport:
-    """Run the circuit symbolically; raises on non-Boolean control use."""
+def evaluate(circuit: Circuit) -> EvalReport:
+    """Run the circuit symbolically, tracing every gate; raises on non-Boolean control use."""
     states: dict[str, Anf | TargetState] = {
         ln.name: Anf.var(ln.name) for ln in circuit.lines
     }
     episode: dict[str, int] = {ln.name: -1 for ln in circuit.lines}
     last_state: dict[str, TargetState] = {}
-    trace: list[GateRecord] | None = [] if collect_trace else None
+    trace: list[GateRecord] = []
 
     for i, g in enumerate(circuit.gates):
         ctrl = Anf.one()
@@ -175,35 +181,26 @@ def evaluate(circuit: Circuit, *, collect_trace: bool = False) -> EvalReport:
         p = g.p % (2 * g.k)
         if p == g.k and isinstance(tstate, Anf):
             states[g.target] = tstate ^ ctrl
-            if trace is not None:
-                trace.append(GateRecord(i, g.target, ctrl, False, None))
+            trace.append(GateRecord(i, g.target, ctrl, False, None))
         else:
             if isinstance(tstate, Anf):
                 episode[g.target] += 1
                 tstate = TargetState(tstate, g.k, MlPoly.zero())
             states[g.target] = tstate.absorb(g.k, p, ctrl)
-            if trace is not None:
-                trace.append(GateRecord(i, g.target, ctrl, True, episode[g.target]))
+            trace.append(GateRecord(i, g.target, ctrl, True, episode[g.target]))
 
     outcomes: dict[str, LineOutcome] = {}
     warnings: list[str] = []
     for ln in circuit.lines:
-        s = states[ln.name]
-        if isinstance(s, TargetState):
-            last_state[ln.name] = s
-            v = s.collapse()
-            if v is None:
+        value = states[ln.name]
+        if isinstance(value, TargetState):
+            last_state[ln.name] = value
+            value = value.collapse()
+            if value is None:
                 warnings.append(
-                    f"line {ln.name!r} has no Boolean output form ({s})"
+                    f"line {ln.name!r} has no Boolean output form ({last_state[ln.name]})"
                 )
-                outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, "residual", None, s)
-            else:
-                outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, "collapsed", v, s)
-        else:
-            status = "collapsed" if ln.name in last_state else "pure"
-            outcomes[ln.name] = LineOutcome(
-                ln.name, ln.is_target, status, s, last_state.get(ln.name)
-            )
+        outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, value, last_state.get(ln.name))
     return EvalReport(circuit, outcomes, warnings, trace)
 
 
@@ -228,8 +225,17 @@ class SpecVerdict:
         }
 
 
+def _circuit(subject: Circuit | EvalReport) -> Circuit:
+    return subject.circuit if isinstance(subject, EvalReport) else subject
+
+
+def _report(subject: Circuit | EvalReport) -> EvalReport:
+    """The evaluation of ``subject``: reused if it is a report, made if it is a circuit."""
+    return subject if isinstance(subject, EvalReport) else evaluate(subject)
+
+
 def check_spec(
-    circuit: Circuit | EvalReport, *, guard: int = DEFAULT_ENUM_GUARD
+    subject: Circuit | EvalReport, *, guard: int = DEFAULT_ENUM_GUARD
 ) -> list[SpecVerdict]:
     """Compare every spec line against the evaluated output of its line.
 
@@ -239,13 +245,10 @@ def check_spec(
     sorted variable union) where the two functions differ, provided the
     variable count stays within ``guard``.
     """
-    report = circuit if isinstance(circuit, EvalReport) else None
-    if report is not None:
-        circuit = report.circuit
+    circuit = _circuit(subject)
     if not circuit.specs:
         raise ValueError("circuit has no spec lines to check")
-    if report is None:
-        report = evaluate(circuit)
+    report = _report(subject)
     verdicts = []
     for name in circuit.line_names:
         if name not in circuit.specs:
@@ -300,25 +303,26 @@ class EquivVerdict:
         }
 
 
-def equivalent(c1: Circuit, c2: Circuit) -> EquivVerdict:
+def equivalent(left: Circuit | EvalReport, right: Circuit | EvalReport) -> EquivVerdict:
     """Do both circuits compute the same value on every line?
 
-    Boolean outputs compare as Anfs.  Two residual states compare by
-    normalized exponent after rebasing to the larger root; coefficientwise
-    equality mod 2K decides pointwise equality because only the zero
-    polynomial vanishes everywhere mod 2K.  A residual never equals a
-    Boolean form (some input leaves it strictly between basis states).
+    Either side may be an :class:`EvalReport`, whose evaluation is reused;
+    line roles are compared before anything is evaluated.  Boolean outputs
+    compare as Anfs.  Two residual states compare by normalized exponent
+    after rebasing to the larger root; coefficientwise equality mod 2K
+    decides pointwise equality because only the zero polynomial vanishes
+    everywhere mod 2K.  A residual never equals a Boolean form (some input
+    leaves it strictly between basis states).
     """
+    c1, c2 = _circuit(left), _circuit(right)
     roles1 = {ln.name: ln.is_target for ln in c1.lines}
     roles2 = {ln.name: ln.is_target for ln in c2.lines}
     if roles1 != roles2:
         raise LineMismatchError(
             f"circuits do not share lines/roles: {sorted(roles1)} vs {sorted(roles2)}"
         )
-    r1 = evaluate(c1)
-    r2 = evaluate(c2)
+    r1, r2 = _report(left), _report(right)
     details: dict[str, str] = {}
-    ok = True
     for name in c1.line_names:
         o1, o2 = r1.outcomes[name], r2.outcomes[name]
         if o1.value is not None and o2.value is not None:
@@ -326,7 +330,6 @@ def equivalent(c1: Circuit, c2: Circuit) -> EquivVerdict:
                 details[name] = "match"
             else:
                 details[name] = f"{o1.value} != {o2.value}"
-                ok = False
         elif o1.value is None and o2.value is None:
             k = max(o1.state.k_root, o2.state.k_root)
             e1 = o1.state.normalized_exponent(k)
@@ -337,12 +340,10 @@ def equivalent(c1: Circuit, c2: Circuit) -> EquivVerdict:
                 details[name] = (
                     f"residual states differ at root k={k}: {e1} != {e2}"
                 )
-                ok = False
         else:
             boolean = o1 if o1.value is not None else o2
             residual = o1 if o1.value is None else o2
             details[name] = (
                 f"Boolean form {boolean.value} vs residual ({residual.state})"
             )
-            ok = False
-    return EquivVerdict(ok, details)
+    return EquivVerdict(all(d == "match" for d in details.values()), details)

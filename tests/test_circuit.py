@@ -301,3 +301,32 @@ def test_gate_count_categories():
     assert counts["cnot"] == 1          # k=2 p=2 is NOT-family
     assert counts["cv"] == 1
     assert counts["total_controlled"] == 2  # the bare not/q gates carry no control
+
+
+# -- hashing ------------------------------------------------------------------------
+
+
+def test_equal_circuits_hash_equal(fig2):
+    again = Circuit.parse(str(fig2))
+    assert hash(fig2) == hash(again)
+    cache = {fig2: "fig2"}
+    assert cache[again] == "fig2"
+    assert replace(fig2, specs={}) != fig2
+
+
+# -- the root-index limit --------------------------------------------------------------
+
+
+def test_root_index_above_limit_is_rejected_at_its_token():
+    from cnq.circuit import MAX_ROOT
+
+    assert MAX_ROOT == 2**20
+    with pytest.raises(BadRootError) as e:
+        Circuit.parse("line a\nline t target\nq k=2097152 p=1 a -> t")
+    assert (e.value.line, e.value.col) == (3, 3)
+    assert str(MAX_ROOT) in e.value.message
+    assert Circuit.parse("line a\nline t target\nq k=1048576 p=1 a -> t").gates[0].k == MAX_ROOT
+    with pytest.raises(BadRootError):
+        Gate.make(2 * MAX_ROOT, 1, ("a",), "t")
+    c = Circuit((Line("a"), Line("t", True)), (Gate(2 * MAX_ROOT, 1, ("a",), "t"),))
+    assert [e.code for e in c.validate()] == ["E_BAD_K"]

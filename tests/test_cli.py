@@ -159,6 +159,21 @@ def test_fuzz_subcommand(capsys):
     assert "10 random circuits" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_fuzz_count_below_one_is_a_usage_error(capsys, count):
+    code, out, err = run(capsys, "fuzz", "--count", count)
+    assert code == 2
+    assert out == ""
+    assert "--count must be at least 1" in err
+
+
+def test_equiv_compares_line_roles_before_evaluating(capsys):
+    # evaluating interaction.cnq alone exits 3; the line mismatch is found first
+    code, out, _ = run(capsys, "equiv", FIG2, INTERACTION)
+    assert code == 1
+    assert "E_LINE_MISMATCH" in out
+
+
 # -- structured output ------------------------------------------------------------------
 
 

@@ -34,3 +34,23 @@ def test_self_test_small_run():
     assert res.passed
     assert res.circuits == 25
     assert res.failures == []
+
+
+def test_self_test_evaluates_each_draw_once(monkeypatch):
+    import cnq.fuzz
+
+    draws, evaluations = [], []
+    real_draw, real_evaluate = cnq.fuzz.random_circuit, cnq.fuzz.evaluate
+
+    def draw(*args, **kwargs):
+        draws.append(1)
+        return real_draw(*args, **kwargs)
+
+    def counted(circuit):
+        evaluations.append(circuit)
+        return real_evaluate(circuit)
+
+    monkeypatch.setattr(cnq.fuzz, "random_circuit", draw)
+    monkeypatch.setattr(cnq.fuzz, "evaluate", counted)
+    assert self_test(seed=0, count=10).passed
+    assert len(evaluations) == len(draws) >= 10

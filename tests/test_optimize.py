@@ -122,11 +122,6 @@ def test_mixed_roots_merge_at_the_finer_root():
     assert result.circuit.gates == (Gate.make(4, 3, ("a",), "t"),)
 
 
-def test_verify_flag_can_be_disabled(fig2):
-    result = merge_pass(fig2, verify=False)
-    assert total(result.circuit) == 9
-
-
 # -- reporting --------------------------------------------------------------------
 
 
@@ -171,3 +166,24 @@ def test_merge_sound_on_random_circuits(seed):
         assert total(result.circuit) <= total(c)
         again = merge_pass(result.circuit)
         assert again.circuit == result.circuit
+
+
+# -- one evaluation of the input ------------------------------------------------------
+
+
+def test_merge_pass_evaluates_its_input_once(fig2, monkeypatch):
+    import cnq.optimize
+    import cnq.symbolic
+
+    calls = []
+    real = cnq.symbolic.evaluate
+
+    def counted(circuit):
+        calls.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(cnq.symbolic, "evaluate", counted)
+    monkeypatch.setattr(cnq.optimize, "evaluate", counted)
+    result = merge_pass(fig2)
+    # the input once for its groups and for the proof, the rewrite once for the proof
+    assert calls == [fig2, result.circuit]

@@ -151,3 +151,20 @@ def test_cross_check_catches_wrong_report(fig2):
 def test_cross_check_rejects_mismatched_report(fig2, fig6):
     with pytest.raises(LineMismatchError):
         cross_check(fig2, evaluate(fig6))
+
+
+def test_cross_check_separates_adjacent_exponents_at_the_root_limit():
+    from dataclasses import replace
+
+    from cnq import MlPoly
+    from cnq.circuit import MAX_ROOT
+
+    c = Circuit.parse(f"line a\nline t target\nq k={MAX_ROOT} p=1 a -> t\n")
+    report = evaluate(c)
+    assert cross_check(c, report).passed
+    oc = report.outcomes["t"]
+    off_by_one = replace(oc.state, exponent=MlPoly.parse("2*a"))
+    report.outcomes["t"] = replace(oc, state=off_by_one)
+    result = cross_check(c, report)
+    assert not result.passed
+    assert result.witness == {"a": 1, "t": 0}

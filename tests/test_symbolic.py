@@ -191,7 +191,7 @@ def test_emergent_and_from_linear_controls():
 
 
 def test_tainted_control_collapses_before_use(fig6):
-    report = evaluate(fig6, collect_trace=True)
+    report = evaluate(fig6)
     # line c regains a Boolean value exactly when gate 8 reads it
     rec = report.trace[8]
     assert rec.target == "d"
@@ -213,7 +213,7 @@ def test_taint_episodes_in_trace():
         "cnot t u\n"                     # forces the collapse
         "v a -> t\nv a -> t\n"          # episode 1 on t
     )
-    report = evaluate(c, collect_trace=True)
+    report = evaluate(c)
     eps = [r.episode for r in report.trace if r.target == "t"]
     assert eps == [0, 0, 1, 1]
     assert evaluate(c).outcomes["t"].value == Anf.var("t")   # a ^ a cancels
@@ -308,3 +308,61 @@ def test_appending_inverse_pair_preserves_equivalence(fig2):
         fig2.gates + (Gate.make(2, 1, ("a",), "t"), Gate.make(2, 3, ("a",), "t"))
     )
     assert equivalent(fig2, extended).passed
+
+
+# -- one evaluation per question ---------------------------------------------------------
+
+
+def _count_evaluations(monkeypatch):
+    """Count calls of ``evaluate`` made through ``cnq.symbolic``."""
+    import cnq.symbolic
+
+    calls = []
+    real = cnq.symbolic.evaluate
+
+    def counted(circuit):
+        calls.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(cnq.symbolic, "evaluate", counted)
+    return calls
+
+
+def test_equivalent_reuses_a_report_on_either_side(fig2, monkeypatch):
+    fig5 = load("fig5")
+    r2, r5 = evaluate(fig2), evaluate(fig5)
+    calls = _count_evaluations(monkeypatch)
+    assert equivalent(r2, fig5).passed
+    assert equivalent(fig2, r5).passed
+    assert equivalent(r2, r5).passed
+    assert calls == [fig5, fig2]
+
+
+def test_check_spec_reuses_a_report(fig2, monkeypatch):
+    report = evaluate(fig2)
+    calls = _count_evaluations(monkeypatch)
+    assert check_spec(report) == check_spec(fig2)
+    assert calls == [fig2]
+
+
+def test_line_roles_are_compared_before_evaluation(fig2, monkeypatch):
+    report = evaluate(fig2)
+    calls = _count_evaluations(monkeypatch)
+    # evaluating interaction.cnq raises E_TARGET_INTERACTION; the role check comes first
+    with pytest.raises(LineMismatchError):
+        equivalent(fig2, load("interaction"))
+    with pytest.raises(LineMismatchError):
+        equivalent(report, load("interaction"))
+    assert calls == []
+
+
+def test_check_spec_without_specs_raises_before_evaluation(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    with pytest.raises(ValueError):
+        check_spec(load("lonely_v"))
+    assert calls == []
+
+
+def test_every_evaluation_records_its_trace(fig2):
+    report = evaluate(fig2)
+    assert [rec.index for rec in report.trace] == list(range(len(fig2.gates)))
