@@ -173,7 +173,7 @@ class Circuit:
 # Each rule yields (offending name or None, error) for one item, checked
 # against the line names declared so far.  The parser raises the first
 # problem of each statement and locates it on the offending name's token
-# (a bad root's name is "k=", the root's token in a ``q`` statement);
+# (a bad root's name is "k=" and a zero power's "p=", its ``q`` tokens);
 # Circuit.validate collects every problem of the whole circuit.
 
 _Problem = tuple[str | None, CnqError]
@@ -205,11 +205,12 @@ def _gate_shape(k: int, p: int, controls: tuple[str, ...], target: str) -> Itera
     elif k > MAX_ROOT:
         yield "k=", BadRootError(f"root index {k} exceeds the limit 2^20 = {MAX_ROOT}")
     elif p % (2 * k) == 0:
-        yield None, ZeroPowerError(f"power {p} is 0 mod {2 * k}: the identity gate")
-    if len(set(controls)) != len(controls):
-        yield None, ParseError(f"duplicate control on gate targeting {target!r}")
+        yield "p=", ZeroPowerError(f"power {p} is 0 mod {2 * k}: the identity gate")
+    repeated = next((c for i, c in enumerate(controls) if c in controls[:i]), None)
+    if repeated is not None:
+        yield repeated, ParseError(f"duplicate control on gate targeting {target!r}")
     if target in controls:
-        yield None, SelfControlError(f"line {target!r} controls its own gate")
+        yield target, SelfControlError(f"line {target!r} controls its own gate")
 
 
 def _gate_rules(
@@ -369,8 +370,9 @@ def _parse_circuit(text: str) -> Circuit:
             else:
                 k, p = _SUGAR[head]
             ctrls, target = tuple(c for c, _ in params), toks[-1][0]
-            # only a q statement can have a bad root; it is reported at its k= token
-            located = (("k=", toks[1][1]), *params, toks[-1])
+            # only a q statement can have a bad root or a zero power; they are
+            # reported at its k= and p= tokens
+            located = (("k=", toks[1][1]), ("p=", toks[2][1]), *params, toks[-1])
             _raise_first(_gate_rules(k, p, ctrls, target, declared), lineno, located)
             gates.append(Gate(k, p % (2 * k), ctrls, target))
 

@@ -167,9 +167,7 @@ def _cmd_simulate(args) -> int:
             {
                 "input": "".join(str(pt[n]) for n in c.line_names),
                 "amplitudes": {
-                    format(i, f"0{len(c.lines)}b"): [amp.real, amp.imag]
-                    for i, amp in enumerate(sv.amps)
-                    if abs(amp) >= 1e-12
+                    bits: [amp.real, amp.imag] for bits, amp in sv.amplitudes().items()
                 },
             }
             for pt, sv in states

@@ -18,7 +18,6 @@ def random_circuit(
     *,
     max_lines: int = 5,
     max_gates: int = 20,
-    roots: tuple[int, ...] = ROOTS,
 ) -> Circuit:
     """A random circuit; may not be symbolically evaluable."""
     n = rng.randint(2, max_lines)
@@ -26,7 +25,7 @@ def random_circuit(
     lines = tuple(Line(name, rng.random() < 0.5) for name in names)
     gates = []
     for _ in range(rng.randint(1, max_gates)):
-        k = rng.choice(roots)
+        k = rng.choice(ROOTS)
         p = rng.randrange(1, 2 * k)
         target = rng.choice(names)
         others = [nm for nm in names if nm != target]
@@ -61,7 +60,9 @@ class SelfTestResult:
 
 
 def self_test(seed: int, count: int = 200, **kwargs) -> SelfTestResult:
-    """Cross-check ``count`` seeded random circuits against simulation."""
+    """Cross-check ``count`` >= 1 seeded random circuits against simulation."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rng = random.Random(seed)
     failures = []
     for i in range(count):

@@ -23,6 +23,7 @@ attempts a collapse and raises ``E_TARGET_INTERACTION`` if none exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 
 from .circuit import Circuit
 from .errors import LineMismatchError, TargetInteractionError
@@ -256,39 +257,38 @@ def check_spec(
         want = circuit.specs[name]
         oc = report.outcomes[name]
         if oc.value is None:
-            witness = _non_boolean_witness(oc.state, guard)
+            st = oc.state
+            witness = _first_witness(
+                st.exponent.variables(),
+                lambda pt: st.exponent.evaluate(pt) % (2 * st.k_root) not in (0, st.k_root),
+                guard,
+            )
             verdicts.append(
                 SpecVerdict(name, False, want, None, oc.state, "E_NO_COLLAPSE", witness)
             )
         elif oc.value == want:
             verdicts.append(SpecVerdict(name, True, want, oc.value, oc.state))
         else:
-            witness = _first_difference(want, oc.value, guard)
+            got = oc.value
+            witness = _first_witness(
+                want.variables() | got.variables(),
+                lambda pt: want.evaluate(pt) != got.evaluate(pt),
+                guard,
+            )
             verdicts.append(
                 SpecVerdict(name, False, want, oc.value, oc.state, witness=witness)
             )
     return verdicts
 
 
-def _first_difference(x: Anf, y: Anf, guard: int) -> dict[str, int] | None:
-    vs = sorted(x.variables() | y.variables())
+def _first_witness(
+    variables: Iterable[str], holds: Callable[[dict[str, int]], bool], guard: int
+) -> dict[str, int] | None:
+    """The first point, in counting order over the sorted variables, where ``holds``."""
+    vs = sorted(variables)
     if len(vs) > guard:
         return None
-    for pt in iter_assignments(vs):
-        if x.evaluate(pt) != y.evaluate(pt):
-            return pt
-    return None
-
-
-def _non_boolean_witness(st: TargetState, guard: int) -> dict[str, int] | None:
-    vs = sorted(st.exponent.variables())
-    if len(vs) > guard:
-        return None
-    m = 2 * st.k_root
-    for pt in iter_assignments(vs):
-        if st.exponent.evaluate(pt) % m not in (0, st.k_root):
-            return pt
-    return None
+    return next((pt for pt in iter_assignments(vs) if holds(pt)), None)
 
 
 @dataclass

@@ -91,10 +91,10 @@ def test_fixtures_round_trip(name):
         ("line a\nfrobnicate a", ParseError, (2, 1)),
         ("line a\ncnot a b", UndeclaredLineError, (2, 8)),
         ("line a\nv b -> a", UndeclaredLineError, (2, 3)),
-        ("line a\nline t target\nq k=3 p=1 a -> t", BadRootError, (3, None)),
-        ("line a\nline t target\nq k=2 p=4 a -> t", ZeroPowerError, (3, None)),
-        ("line a\nline t target\nv t -> t", SelfControlError, (3, None)),
-        ("line a\nline t target\nccx a a t", ParseError, (3, None)),
+        ("line a\nline t target\nq k=3 p=1 a -> t", BadRootError, (3, 3)),
+        ("line a\nline t target\nq k=2 p=4 a -> t", ZeroPowerError, (3, 7)),
+        ("line a\nline t target\nv t -> t", SelfControlError, (3, 3)),
+        ("line a\nline t target\nccx a a t", ParseError, (3, 5)),
         ("line a\nline t target\nq k=2 a -> t", ParseError, (3, 1)),
         ("line a\nline t target\nv a t", ParseError, (3, 1)),
         ("line t target\nspec t", ParseError, (2, 1)),

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from cnq import evaluate, random_circuit, random_valid_circuit, self_test
 
 
@@ -34,6 +36,12 @@ def test_self_test_small_run():
     assert res.passed
     assert res.circuits == 25
     assert res.failures == []
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_self_test_refuses_to_check_no_circuits(count):
+    with pytest.raises(ValueError, match="at least 1"):
+        self_test(0, count)
 
 
 def test_self_test_evaluates_each_draw_once(monkeypatch):

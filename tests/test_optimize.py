@@ -162,7 +162,7 @@ def test_merge_sound_on_random_circuits(seed):
     rng = random.Random(seed)
     for _ in range(50):
         c = random_valid_circuit(rng, max_lines=4, max_gates=12)
-        result = merge_pass(c)           # verify=True asserts equivalence
+        result = merge_pass(c)           # merge_pass always proves its rewrite
         assert total(result.circuit) <= total(c)
         again = merge_pass(result.circuit)
         assert again.circuit == result.circuit

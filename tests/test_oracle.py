@@ -102,6 +102,37 @@ def test_apply_gate_preserves_norm():
     assert abs(np.linalg.norm(sv.amps) - 1.0) < 1e-12
 
 
+def _controlled_matrix(lines, gate):
+    """The full 2^n unitary of ``gate``, built by hand: I + P1 (x) ... (x) (Q^p - I)."""
+    p1 = np.diag([0, 1]).astype(complex)
+    factors = {c: p1 for c in gate.controls}
+    factors[gate.target] = q_matrix(gate.k, gate.p) - EYE
+    full = np.ones((1, 1), dtype=complex)
+    for name in lines:
+        full = np.kron(full, factors.get(name, EYE))
+    return np.eye(1 << len(lines), dtype=complex) + full
+
+
+@pytest.mark.parametrize("lines", [("t", "a", "b"), ("a", "t", "b"), ("a", "b", "t")])
+@pytest.mark.parametrize("k,p", [(1, 1), (2, 1), (4, 3), (8, 5)])
+def test_apply_gate_matches_kron_matrix_wherever_the_target_sits(lines, k, p):
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    sv = StateVector(lines, amps / np.linalg.norm(amps))
+    for controls in [(), ("a",), ("b",), ("a", "b"), ("b", "a")]:
+        gate = Gate.make(k, p, controls, "t")
+        out = apply_gate(sv, gate)
+        assert np.max(np.abs(out.amps - _controlled_matrix(lines, gate) @ sv.amps)) < 1e-12
+
+
+def test_apply_gate_leaves_its_input_unchanged():
+    sv = StateVector.basis(("a", "t"), {"a": 1, "t": 0})
+    before = sv.amps.copy()
+    out = apply_gate(sv, Gate.make(2, 1, ("a",), "t"))
+    assert np.array_equal(sv.amps, before)
+    assert not np.array_equal(out.amps, before)
+
+
 # -- simulation --------------------------------------------------------------------
 
 
@@ -146,6 +177,13 @@ def test_cross_check_catches_wrong_report(fig2):
     assert not result.passed
     assert result.witness == {"a": 0, "b": 1, "c": 0, "t": 0}
     assert "amplitude error" in result.detail
+
+
+def test_cross_check_refuses_circuits_beyond_the_simulation_guard():
+    text = "\n".join(f"line x{i}" for i in range(12)) + "\nline t target\ncnot x0 t\n"
+    c = Circuit.parse(text)
+    with pytest.raises(SimulationLimitError, match="13 lines exceed the simulation guard"):
+        cross_check(c, evaluate(c))
 
 
 def test_cross_check_rejects_mismatched_report(fig2, fig6):
