@@ -13,6 +13,9 @@ frozenset of variable names; the empty monomial is the constant 1):
 Conversions are exact.  ``Anf.to_arith`` rewrites XOR into ring arithmetic
 via  P xor Q = P + Q - 2PQ  with multilinear reduction (v*v = v), so e.g.
 ``a ^ b`` becomes ``a + b - 2*a*b`` and ``1 ^ a`` becomes ``1 - a``.
+Given a modulus it reduces at every step of that fold (reduction is a ring
+homomorphism), so an XOR of m variables mod 2K never grows past the terms
+of degree <= log2(2K) instead of expanding all 2^m - 1 of them first.
 ``MlPoly.from_values`` interpolates the unique multilinear polynomial
 through a value table on {0,1}^n (the coefficient/value transform is
 unimodular, hence exactly invertible over the integers).
@@ -42,6 +45,11 @@ def check_var_name(name: str) -> str:
 def term_key(monomial: frozenset) -> tuple:
     """Canonical term order: degree first, then variable names."""
     return (len(monomial), tuple(sorted(monomial)))
+
+
+def _check_modulus(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
 
 
 def _monomial_value(monomial: frozenset, point: Assignment) -> int:
@@ -145,17 +153,36 @@ class Anf:
             acc ^= _monomial_value(m, point)
         return acc
 
-    def to_arith(self) -> "MlPoly":
+    def to_arith(self, modulus: int | None = None) -> "MlPoly":
         """The multilinear integer polynomial with the same 0/1 values.
 
         Folds monomials with  acc xor t = acc + t - 2*acc*t;  the result is
-        independent of fold order because each step preserves values.
+        independent of fold order because each step preserves values.  With
+        a ``modulus`` every step is reduced into [0, modulus), giving exactly
+        ``to_arith().reduce_mod(modulus)``.  A term built from d of the
+        monomials has a coefficient divisible by 2^(d-1), so mod 2K only
+        products of at most log2(2K) monomials survive: an XOR of single
+        variables keeps degree <= log2(2K).
         """
-        acc = MlPoly.zero()
-        for m in sorted(self.monomials, key=term_key):
-            t = MlPoly({m: 1})
-            acc = acc + t - 2 * (acc * t)
-        return acc
+        if modulus is not None:
+            _check_modulus(modulus)
+        acc: dict[frozenset[str], int] = {}
+        for t in self.monomials:
+            step = {t: 1}                       # t - 2*acc*t, from the old acc
+            for m, c in acc.items():
+                d = -2 * c if modulus is None else -2 * c % modulus
+                if d:
+                    mt = m | t
+                    step[mt] = step.get(mt, 0) + d
+            for m, d in step.items():
+                c = acc.get(m, 0) + d
+                if modulus is not None:
+                    c %= modulus
+                if c:
+                    acc[m] = c
+                else:
+                    acc.pop(m, None)
+        return MlPoly._wrap(acc)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -319,8 +346,7 @@ class MlPoly:
 
     def reduce_mod(self, m: int) -> "MlPoly":
         """Coefficientwise reduction into canonical residues [0, m)."""
-        if m < 1:
-            raise ValueError(f"modulus must be positive, got {m}")
+        _check_modulus(m)
         return MlPoly._wrap(
             {mono: c % m for mono, c in self.terms.items() if c % m}
         )

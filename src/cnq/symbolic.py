@@ -39,19 +39,28 @@ class TargetState:
     exponent: MlPoly
 
     def rebased(self, k_new: int) -> "TargetState":
-        """Express the same state over a finer root: exponents scale by k_new/k_root."""
+        """Express the same state over a finer root: exponents scale by k_new/k_root.
+
+        The exponent is kept canonical, so the state's own root returns it as is.
+        """
         if k_new % self.k_root:
             raise ValueError(f"cannot rebase root {self.k_root} onto {k_new}")
+        if k_new == self.k_root:
+            return self
         factor = k_new // self.k_root
         return TargetState(
             self.base, k_new, (self.exponent * factor).reduce_mod(2 * k_new)
         )
 
     def absorb(self, k: int, p: int, control: Anf) -> "TargetState":
-        """Add one gate's contribution p * arith(control) at root k."""
+        """Add one gate's contribution p * arith(control) at root k.
+
+        The term p * (k2/k) * arith mod 2*k2 depends only on arith mod 2k,
+        so the control is folded mod the gate's own 2k: a V gate keeps only
+        terms of degree <= 2 even inside a finer-root episode.
+        """
         k2 = max(self.k_root, k)
-        e = self.exponent * (k2 // self.k_root)
-        e = e + (p * (k2 // k)) * control.to_arith()
+        e = self.rebased(k2).exponent + (p * (k2 // k)) * control.to_arith(2 * k)
         return TargetState(self.base, k2, e.reduce_mod(2 * k2))
 
     def collapse(self) -> Anf | None:
@@ -70,9 +79,11 @@ class TargetState:
 
         Two states are the same single-qubit function of the inputs iff
         their normalized exponents agree coefficientwise at a common root.
+        K * arith(base) mod 2K depends only on arith(base) mod 2, which is
+        the base's own monomials.
         """
         st = self.rebased(k_common) if k_common else self
-        e = st.exponent + st.k_root * st.base.to_arith()
+        e = st.exponent + st.k_root * st.base.to_arith(2)
         return e.reduce_mod(2 * st.k_root)
 
     def __str__(self) -> str:
@@ -119,8 +130,16 @@ class EvalReport:
 
     circuit: Circuit
     outcomes: dict[str, LineOutcome]
-    warnings: list[str] = field(default_factory=list)
     trace: list[GateRecord] = field(default_factory=list)
+
+    @property
+    def warnings(self) -> list[str]:
+        """One line per residual line, in line order."""
+        return [
+            f"line {name!r} has no Boolean output form ({oc.state})"
+            for name, oc in self.outcomes.items()
+            if oc.value is None
+        ]
 
     def to_dict(self) -> dict:
         lines = {}
@@ -135,7 +154,7 @@ class EvalReport:
                 entry["exponent"] = str(oc.state.exponent)
                 entry["base"] = str(oc.state.base)
             lines[name] = entry
-        return {"lines": lines, "warnings": list(self.warnings)}
+        return {"lines": lines, "warnings": self.warnings}
 
     def to_text(self) -> str:
         out = []
@@ -191,18 +210,13 @@ def evaluate(circuit: Circuit) -> EvalReport:
             trace.append(GateRecord(i, g.target, ctrl, True, episode[g.target]))
 
     outcomes: dict[str, LineOutcome] = {}
-    warnings: list[str] = []
     for ln in circuit.lines:
         value = states[ln.name]
         if isinstance(value, TargetState):
             last_state[ln.name] = value
             value = value.collapse()
-            if value is None:
-                warnings.append(
-                    f"line {ln.name!r} has no Boolean output form ({last_state[ln.name]})"
-                )
         outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, value, last_state.get(ln.name))
-    return EvalReport(circuit, outcomes, warnings, trace)
+    return EvalReport(circuit, outcomes, trace)
 
 
 @dataclass

@@ -128,6 +128,26 @@ def test_to_arith_mod_two_shadow(x):
     assert set(shadow.terms) == set(x.monomials)
 
 
+@given(anfs, st.sampled_from([2 ** j for j in range(1, 22)]))
+def test_to_arith_with_modulus_reduces_the_integer_form(x, m):
+    assert x.to_arith(m) == x.to_arith().reduce_mod(m)
+
+
+def test_to_arith_mod_2k_keeps_low_degree_terms_only():
+    # an XOR of 24 variables has 2^24 - 1 integer terms; mod 4 only degrees
+    # 1 and 2 survive (24 + 276), mod 8 also degree 3 (+ 2024)
+    x = Anf([(f"x{i}",) for i in range(24)])
+    assert len(x.to_arith(4).terms) == 300
+    assert len(x.to_arith(8).terms) == 2324
+
+
+def test_to_arith_rejects_a_modulus_below_one():
+    x = Anf.parse("a ^ b")
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            x.to_arith(bad)
+
+
 # -- MlPoly basics -----------------------------------------------------------
 
 

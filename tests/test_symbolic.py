@@ -97,6 +97,17 @@ def test_collapse_sound_and_complete(state):
             )
 
 
+@given(target_states(), roots, st.integers(min_value=1, max_value=15), anfs)
+def test_absorb_matches_the_unreduced_sum(state, k, p, ctrl):
+    # covers both directions: the gate's root coarser or finer than the state's
+    k2 = max(state.k_root, k)
+    want = state.rebased(k2).exponent + (p * (k2 // k)) * ctrl.to_arith()
+    got = state.absorb(k, p, ctrl)
+    assert got.k_root == k2
+    assert got.base == state.base
+    assert got.exponent == want.reduce_mod(2 * k2)
+
+
 @given(target_states())
 def test_rebase_preserves_collapse(state):
     fine = state.rebased(2 * state.k_root)
@@ -170,6 +181,25 @@ def test_residual_line_warns():
     assert report.outcomes["t"].status == "residual"
     assert report.outcomes["t"].value is None
     assert any("no Boolean output form" in w for w in report.warnings)
+
+
+def test_v_chain_exponent_stays_polynomial_at_24_controls():
+    # rung i adds arith(x1 ^ ... ^ xi) mod 4, whose integer form has 2^i - 1
+    # terms; mod 4 it is sum(x_j) + 2 * sum(x_j * x_h) over j < h <= i
+    n = 24
+    text = "".join(f"line x{i}\n" for i in range(1, n + 1)) + "line t target\n"
+    for i in range(1, n + 1):
+        text += f"v x{i} -> t\n" + (f"cnot x{i} x{i + 1}\n" if i < n else "")
+    oc = evaluate(Circuit.parse(text)).outcomes["t"]
+    assert oc.status == "residual"
+    terms = {}
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            terms[(f"x{j}",)] = terms.get((f"x{j}",), 0) + 1
+            for h in range(j + 1, i + 1):
+                terms[(f"x{j}", f"x{h}")] = terms.get((f"x{j}", f"x{h}"), 0) + 2
+    assert oc.state.k_root == 2
+    assert oc.state.exponent == MlPoly(terms.items()).reduce_mod(4)
 
 
 def test_uncontrolled_q_gate():
