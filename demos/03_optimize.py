@@ -9,7 +9,7 @@ returning it.
 
 from pathlib import Path
 
-from cnq import Circuit, equivalent, merge_pass, optimization_report
+from cnq import Circuit, equivalent, merge_pass
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -17,12 +17,9 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def show(name: str) -> None:
     circuit = Circuit.parse((FIXTURES / f"{name}.cnq").read_text())
     result = merge_pass(circuit)
-    report = optimization_report(circuit, result.circuit, result.changes)
     print(f"== {name} ==")
-    print(report.to_text())
+    print(result.to_text())
     if result.changes:
-        print()
-        print(result.circuit)
         verdict = equivalent(circuit, result.circuit)
         print(f"equivalence re-check: {'PASS' if verdict.passed else 'FAIL'}")
     print()

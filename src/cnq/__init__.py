@@ -31,13 +31,7 @@ from .expr import (
     iter_assignments,
 )
 from .fuzz import random_circuit, random_valid_circuit, self_test
-from .optimize import (
-    Change,
-    MergeResult,
-    OptimizationReport,
-    merge_pass,
-    optimization_report,
-)
+from .optimize import Change, MergeResult, merge_pass
 from .oracle import (
     CROSS_CHECK_ATOL,
     DEFAULT_SIM_GUARD,
@@ -83,7 +77,6 @@ __all__ = [
     "LineOutcome",
     "MergeResult",
     "MlPoly",
-    "OptimizationReport",
     "ParseError",
     "SelfControlError",
     "SimulationLimitError",
@@ -103,7 +96,6 @@ __all__ = [
     "evaluate",
     "iter_assignments",
     "merge_pass",
-    "optimization_report",
     "q_matrix",
     "random_circuit",
     "random_valid_circuit",

@@ -11,6 +11,14 @@ Subcommands::
     fuzz      cross-check seeded random circuits against simulation
               (``--count N`` circuits, N >= 1)
 
+Each subcommand is one row of ``_COMMANDS``: its help text, the circuit
+files it reads, its own options and a handler.  A handler gets the parsed
+arguments and the loaded circuits and returns its verdict (``True``,
+``False`` or ``None`` when the command has none), its structured fields
+and its text.  ``main`` is the one emitter: it loads the files, maps
+errors to exit codes, and prints either the text or the fields laid over
+the common document.
+
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or parse error,
 3 control taken from a non-Boolean line, 4 enumeration/simulation guard
 exceeded.  ``--format structured`` emits a single JSON document with
@@ -23,7 +31,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 from .circuit import Circuit
 from .errors import (
@@ -34,7 +44,7 @@ from .errors import (
     TargetInteractionError,
 )
 from .expr import DEFAULT_ENUM_GUARD, display_anf, iter_assignments
-from .optimize import merge_pass, optimization_report
+from .optimize import merge_pass
 from .oracle import DEFAULT_SIM_GUARD, cross_check, simulate
 from .symbolic import check_spec, equivalent, evaluate
 from .fuzz import self_test
@@ -50,6 +60,10 @@ EXIT_GUARD = 4
 SIMULATE_ENUM_LIMIT = 8
 
 
+class _UsageError(Exception):
+    """A request the command refuses before doing any work; exits 2."""
+
+
 def _load(path: str) -> Circuit:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -60,235 +74,175 @@ def _load(path: str) -> Circuit:
     return Circuit.parse(text)
 
 
-def _document(command: str, verdict: str | None, circuit: Circuit | None) -> dict:
-    return {
-        "command": command,
-        "verdict": verdict,
-        "lines": {},
-        "diagnostics": [],
-        "gate_counts": circuit.gate_count() if circuit is not None else {},
-    }
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
 
 
-def _print_doc(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=False))
+def _error(code: str | None, message: str) -> dict:
+    return {"severity": "error", "code": code, "message": message}
 
 
 def _warn_diags(report) -> list[dict]:
     return [{"severity": "warning", "code": None, "message": w} for w in report.warnings]
 
 
-# -- subcommands ----------------------------------------------------------------
-
-
-def _cmd_eval(args) -> int:
-    c = _load(args.circuit)
-    report = evaluate(c)
-    if args.format == "structured":
-        doc = _document("eval", None, c)
-        doc["lines"] = report.to_dict()["lines"]
-        doc["diagnostics"] = _warn_diags(report)
-        _print_doc(doc)
-    else:
-        print(report.to_text())
-    return EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    c = _load(args.circuit)
-    if not c.specs:
-        print("error: circuit has no spec lines to verify", file=sys.stderr)
-        return EXIT_USAGE
-    report = evaluate(c)
-    verdicts = check_spec(report, guard=args.guard_enum)
-    ok = all(v.passed for v in verdicts)
-    if args.format == "structured":
-        doc = _document("verify", "PASS" if ok else "FAIL", c)
-        doc["lines"] = report.to_dict()["lines"]
-        doc["specs"] = [v.to_dict() for v in verdicts]
-        doc["diagnostics"] = [
-            {
-                "severity": "error",
-                "code": v.code,
-                "message": f"spec for {v.line!r} not met",
-            }
-            for v in verdicts
-            if not v.passed
-        ] + _warn_diags(report)
-        _print_doc(doc)
-    else:
-        for v in verdicts:
-            if v.passed:
-                print(f"spec {v.line}: PASS   ({display_anf(v.expected)})")
-            elif v.code == "E_NO_COLLAPSE":
-                print(f"spec {v.line}: FAIL   no Boolean form ({v.actual_state})")
-                if v.witness is not None:
-                    print(f"    non-Boolean at {_fmt_point(v.witness)}")
-            else:
-                print(f"spec {v.line}: FAIL   expected {display_anf(v.expected)}, "
-                      f"got {display_anf(v.actual_value)}")
-                if v.witness is not None:
-                    print(f"    first difference at {_fmt_point(v.witness)}")
-        print("verdict:", "PASS" if ok else "FAIL")
-    return EXIT_OK if ok else EXIT_FAIL
+def _roles(c: Circuit) -> dict:
+    return {ln.name: {"role": ln.role} for ln in c.lines}
 
 
 def _fmt_point(pt: dict[str, int]) -> str:
     return ", ".join(f"{k}={v}" for k, v in sorted(pt.items()))
 
 
-def _parse_input_bits(bits: str, circuit: Circuit) -> dict[str, int]:
-    names = circuit.line_names
-    if len(bits) != len(names) or any(ch not in "01" for ch in bits):
-        raise CnqError(
-            f"--input wants {len(names)} bits in line order {'/'.join(names)}"
-        )
-    return {name: int(ch) for name, ch in zip(names, bits)}
+# -- subcommands: (args, *circuits) -> (verdict, structured fields, text) ----------
 
 
-def _cmd_simulate(args) -> int:
-    c = _load(args.circuit)
+def _eval(args, c):
+    report = evaluate(c)
+    fields = {"lines": report.to_dict()["lines"], "diagnostics": _warn_diags(report)}
+    return None, fields, report.to_text()
+
+
+def _verify(args, c):
+    if not c.specs:
+        raise _UsageError("circuit has no spec lines to verify")
+    report = evaluate(c)
+    verdicts = check_spec(report, guard=args.guard_enum)
+    ok = all(v.passed for v in verdicts)
+    text = []
+    for v in verdicts:
+        if v.passed:
+            text.append(f"spec {v.line}: PASS   ({display_anf(v.expected)})")
+        elif v.code == "E_NO_COLLAPSE":
+            text.append(f"spec {v.line}: FAIL   no Boolean form ({v.actual_state})")
+            if v.witness is not None:
+                text.append(f"    non-Boolean at {_fmt_point(v.witness)}")
+        else:
+            text.append(f"spec {v.line}: FAIL   expected {display_anf(v.expected)}, "
+                        f"got {display_anf(v.actual_value)}")
+            if v.witness is not None:
+                text.append(f"    first difference at {_fmt_point(v.witness)}")
+    text.append(f"verdict: {_verdict(ok)}")
+    fields = {
+        "lines": report.to_dict()["lines"],
+        "specs": [v.to_dict() for v in verdicts],
+        "diagnostics": [
+            _error(v.code, f"spec for {v.line!r} not met") for v in verdicts if not v.passed
+        ] + _warn_diags(report),
+    }
+    return ok, fields, "\n".join(text)
+
+
+def _simulate(args, c):
+    names = c.line_names
     if args.input is not None:
-        points = [_parse_input_bits(args.input, c)]
-    elif len(c.lines) <= SIMULATE_ENUM_LIMIT:
-        points = list(iter_assignments(c.line_names))
+        if len(args.input) != len(names) or any(ch not in "01" for ch in args.input):
+            raise CnqError(f"--input wants {len(names)} bits in line order {'/'.join(names)}")
+        points = [dict(zip(names, map(int, args.input)))]
+    elif len(names) <= SIMULATE_ENUM_LIMIT:
+        points = list(iter_assignments(names))
     else:
-        print(
-            f"error: {len(c.lines)} lines; pass --input <bits> above "
-            f"{SIMULATE_ENUM_LIMIT} lines",
-            file=sys.stderr,
+        raise _UsageError(
+            f"{len(names)} lines; pass --input <bits> above {SIMULATE_ENUM_LIMIT} lines"
         )
-        return EXIT_USAGE
-    states = [(pt, simulate(c, pt, guard=args.guard_sim)) for pt in points]
-    if args.format == "structured":
-        doc = _document("simulate", None, c)
-        doc["lines"] = {ln.name: {"role": ln.role} for ln in c.lines}
-        doc["states"] = [
-            {
-                "input": "".join(str(pt[n]) for n in c.line_names),
-                "amplitudes": {
-                    bits: [amp.real, amp.imag] for bits, amp in sv.amplitudes().items()
-                },
-            }
-            for pt, sv in states
-        ]
-        _print_doc(doc)
-    else:
-        for pt, sv in states:
-            bits = "".join(str(pt[n]) for n in c.line_names)
-            print(f"input |{bits}>:")
-            for ln in sv.dump().splitlines():
-                print(f"  {ln}")
-    return EXIT_OK
+    runs = [("".join(str(pt[n]) for n in names), simulate(c, pt, guard=args.guard_sim))
+            for pt in points]
+    text = []
+    for bits, sv in runs:
+        text.append(f"input |{bits}>:")
+        text.extend(f"  {ln}" for ln in sv.dump().splitlines())
+    states = [
+        {"input": bits,
+         "amplitudes": {b: [amp.real, amp.imag] for b, amp in sv.amplitudes().items()}}
+        for bits, sv in runs
+    ]
+    return None, {"lines": _roles(c), "states": states}, "\n".join(text)
 
 
-def _cmd_check(args) -> int:
-    c = _load(args.circuit)
+def _check(args, c):
     report = evaluate(c)
     res = cross_check(c, report, guard=args.guard_sim)
-    if args.format == "structured":
-        doc = _document("check", "PASS" if res.passed else "FAIL", c)
-        doc["lines"] = report.to_dict()["lines"]
-        doc["cross_check"] = res.to_dict()
-        if not res.passed:
-            doc["diagnostics"] = [
-                {"severity": "error", "code": None, "message": res.detail or "mismatch"}
-            ]
-        _print_doc(doc)
-    else:
-        if res.passed:
-            print(f"cross-check: PASS ({res.inputs_checked} inputs)")
-        else:
-            print(f"cross-check: FAIL at {_fmt_point(res.witness)}: {res.detail}")
-    return EXIT_OK if res.passed else EXIT_FAIL
+    fields = {"lines": report.to_dict()["lines"], "cross_check": res.to_dict()}
+    if res.passed:
+        return True, fields, f"cross-check: PASS ({res.inputs_checked} inputs)"
+    fields["diagnostics"] = [_error(None, res.detail or "mismatch")]
+    return False, fields, f"cross-check: FAIL at {_fmt_point(res.witness)}: {res.detail}"
 
 
-def _cmd_optimize(args) -> int:
-    c = _load(args.circuit)
+def _optimize(args, c):
     res = merge_pass(c)
-    rep = optimization_report(c, res.circuit, res.changes)
-    if args.format == "structured":
-        doc = _document("optimize", None, c)
-        doc["lines"] = {ln.name: {"role": ln.role} for ln in c.lines}
-        doc.update(rep.to_dict())        # gate_counts before/after + changes
-        doc["optimized"] = str(res.circuit)
-        _print_doc(doc)
-    else:
-        print(rep.to_text())
-        print()
-        print(str(res.circuit), end="")
-    return EXIT_OK
+    return None, {"lines": _roles(c), **res.to_dict()}, res.to_text()
 
 
-def _cmd_equiv(args) -> int:
-    c1 = _load(args.left)
-    c2 = _load(args.right)
+def _equiv(args, left, right):
     try:
-        verdict = equivalent(c1, c2)
+        verdict = equivalent(left, right)
     except LineMismatchError as exc:
-        if args.format == "structured":
-            doc = _document("equiv", "FAIL", None)
-            doc["diagnostics"] = [
-                {"severity": "error", "code": exc.code, "message": exc.message}
-            ]
-            _print_doc(doc)
-        else:
-            print(f"verdict: FAIL ({exc.describe()})")
-        return EXIT_FAIL
-    if args.format == "structured":
-        doc = _document("equiv", "PASS" if verdict.passed else "FAIL", None)
-        doc["lines"] = {
-            name: {"status": "match" if detail == "match" else "mismatch", "detail": detail}
-            for name, detail in verdict.details.items()
-        }
-        doc["gate_counts"] = {"left": c1.gate_count(), "right": c2.gate_count()}
-        _print_doc(doc)
-    else:
-        for name, detail in verdict.details.items():
-            print(f"line {name}: {detail}")
-        print("verdict:", "PASS" if verdict.passed else "FAIL")
-    return EXIT_OK if verdict.passed else EXIT_FAIL
+        fields = {"diagnostics": [_error(exc.code, exc.message)]}
+        return False, fields, f"verdict: FAIL ({exc.describe()})"
+    lines = {
+        name: {"status": "match" if detail == "match" else "mismatch", "detail": detail}
+        for name, detail in verdict.details.items()
+    }
+    gate_counts = {"left": left.gate_count(), "right": right.gate_count()}
+    text = [f"line {name}: {detail}" for name, detail in verdict.details.items()]
+    text.append(f"verdict: {_verdict(verdict.passed)}")
+    return verdict.passed, {"lines": lines, "gate_counts": gate_counts}, "\n".join(text)
 
 
-def _cmd_fuzz(args) -> int:
+def _fuzz(args):
     if args.count < 1:
-        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
-        return EXIT_USAGE
-    res = self_test(args.seed, args.count)
-    if args.format == "structured":
-        doc = _document("fuzz", "PASS" if res.passed else "FAIL", None)
-        doc["circuits"] = res.circuits
-        doc["diagnostics"] = [
-            {"severity": "error", "code": None, "message": f} for f in res.failures
-        ]
-        _print_doc(doc)
+        raise _UsageError(f"--count must be at least 1, got {args.count}")
+    res = self_test(args.seed, args.count, guard=args.guard_sim)
+    fields = {"circuits": res.circuits, "diagnostics": [_error(None, f) for f in res.failures]}
+    if res.passed:
+        text = (f"self-test: {res.circuits} random circuits agree with simulation "
+                f"(seed {args.seed})")
     else:
-        if res.passed:
-            print(f"self-test: {res.circuits} random circuits agree with simulation "
-                  f"(seed {args.seed})")
-        else:
-            print(f"self-test: {len(res.failures)} failures out of {res.circuits}")
-            for f in res.failures:
-                print(f)
-    return EXIT_OK if res.passed else EXIT_FAIL
+        text = "\n".join(
+            [f"self-test: {len(res.failures)} failures out of {res.circuits}", *res.failures]
+        )
+    return res.passed, fields, text
 
 
-# -- argument plumbing ------------------------------------------------------------
+# -- the command table ----------------------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--format", choices=("text", "structured"), default="text",
-        help="output style (default: text)",
-    )
-    sp.add_argument(
-        "--guard-enum", type=int, default=DEFAULT_ENUM_GUARD, metavar="N",
-        help="refuse exhaustive enumeration above N variables",
-    )
-    sp.add_argument(
-        "--guard-sim", type=int, default=DEFAULT_SIM_GUARD, metavar="N",
-        help="refuse dense simulation above N lines",
-    )
+class _Command(NamedTuple):
+    help: str
+    files: tuple[str, ...]          # positionals, each the path of a circuit to load
+    options: dict[str, dict]        # flag -> add_argument keywords
+    handler: Callable
+
+
+_COMMANDS = {
+    "eval": _Command("symbolic per-line outcomes", ("circuit",), {}, _eval),
+    "verify": _Command("check spec lines", ("circuit",), {}, _verify),
+    "simulate": _Command(
+        "dense statevector runs", ("circuit",),
+        {"--input": {"metavar": "BITS", "help": "one basis input, line order"}},
+        _simulate,
+    ),
+    "check": _Command("cross-check calculus vs simulation", ("circuit",), {}, _check),
+    "optimize": _Command("merge same-control gate groups", ("circuit",), {}, _optimize),
+    "equiv": _Command("compare two circuits", ("left", "right"), {}, _equiv),
+    "fuzz": _Command(
+        "cross-check seeded random circuits", (),
+        {"--seed": {"type": int, "default": 0},
+         "--count": {"type": int, "default": 200, "help": "circuits to check, at least 1"}},
+        _fuzz,
+    ),
+}
+
+# Every subcommand takes these; README says where each guard acts.
+_COMMON_OPTIONS = {
+    "--format": {"choices": ("text", "structured"), "default": "text",
+                 "help": "output style (default: text)"},
+    "--guard-enum": {"type": int, "default": DEFAULT_ENUM_GUARD, "metavar": "N",
+                     "help": "refuse exhaustive enumeration above N variables"},
+    "--guard-sim": {"type": int, "default": DEFAULT_SIM_GUARD, "metavar": "N",
+                    "help": "refuse dense simulation above N lines"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,45 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
         "controlled root-of-NOT circuits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("eval", help="symbolic per-line outcomes")
-    sp.add_argument("circuit")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_eval)
-
-    sp = sub.add_parser("verify", help="check spec lines")
-    sp.add_argument("circuit")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("simulate", help="dense statevector runs")
-    sp.add_argument("circuit")
-    sp.add_argument("--input", metavar="BITS", help="one basis input, line order")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("check", help="cross-check calculus vs simulation")
-    sp.add_argument("circuit")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_check)
-
-    sp = sub.add_parser("optimize", help="merge same-control gate groups")
-    sp.add_argument("circuit")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_optimize)
-
-    sp = sub.add_parser("equiv", help="compare two circuits")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_equiv)
-
-    sp = sub.add_parser("fuzz", help="cross-check seeded random circuits")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=200, help="circuits to check, at least 1")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_fuzz)
-
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        for file in cmd.files:
+            sp.add_argument(file)
+        for flag, kwargs in {**cmd.options, **_COMMON_OPTIONS}.items():
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -347,8 +268,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    cmd = _COMMANDS[args.command]
+    where = ""                      # the file a CnqError is reported against
     try:
-        return args.func(args)
+        circuits = []
+        for path in (getattr(args, f) for f in cmd.files):
+            where = f"{path}: "
+            circuits.append(_load(path))
+        passed, fields, text = cmd.handler(args, *circuits)
     except TargetInteractionError as exc:
         print(f"error: {exc.describe()}", file=sys.stderr)
         return EXIT_INTERACTION
@@ -356,9 +283,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc.describe()}", file=sys.stderr)
         return EXIT_GUARD
     except CnqError as exc:
-        where = f"{args.circuit}: " if hasattr(args, "circuit") else ""
         print(f"error: {where}{exc.describe()}", file=sys.stderr)
         return EXIT_USAGE
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.format == "structured":
+        doc = {
+            "command": args.command,
+            "verdict": None if passed is None else _verdict(passed),
+            "lines": {},
+            "diagnostics": [],
+            "gate_counts": circuits[0].gate_count() if len(circuits) == 1 else {},
+        }
+        print(json.dumps({**doc, **fields}, indent=2))
+    else:
+        print(text)
+    return EXIT_FAIL if passed is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -52,15 +52,20 @@ def _check_modulus(m: int) -> None:
         raise ValueError(f"modulus must be positive, got {m}")
 
 
+def point_bit(point: Assignment, v: str) -> int:
+    """The value ``point`` gives ``v``; it must be there and be 0 or 1."""
+    try:
+        bit = point[v]
+    except KeyError:
+        raise UnboundVariableError(f"no value for variable {v!r}") from None
+    if bit not in (0, 1):
+        raise UnboundVariableError(f"variable {v!r} bound to non-bit {bit!r}")
+    return bit
+
+
 def _monomial_value(monomial: frozenset, point: Assignment) -> int:
     for v in monomial:
-        try:
-            bit = point[v]
-        except KeyError:
-            raise UnboundVariableError(f"no value for variable {v!r}") from None
-        if bit not in (0, 1):
-            raise UnboundVariableError(f"variable {v!r} bound to non-bit {bit!r}")
-        if bit == 0:
+        if point_bit(point, v) == 0:
             return 0
     return 1
 

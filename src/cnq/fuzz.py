@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, Line
 from .errors import TargetInteractionError
-from .oracle import cross_check
+from .oracle import DEFAULT_SIM_GUARD, cross_check
 from .symbolic import EvalReport, evaluate
 
 ROOTS = (1, 2, 4, 8)
@@ -59,15 +59,21 @@ class SelfTestResult:
         return not self.failures
 
 
-def self_test(seed: int, count: int = 200, **kwargs) -> SelfTestResult:
-    """Cross-check ``count`` >= 1 seeded random circuits against simulation."""
+def self_test(
+    seed: int, count: int = 200, *, guard: int = DEFAULT_SIM_GUARD, **kwargs
+) -> SelfTestResult:
+    """Cross-check ``count`` >= 1 seeded random circuits against simulation.
+
+    ``guard`` is ``cross_check``'s simulation guard; ``kwargs`` go to
+    ``random_circuit``.
+    """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     rng = random.Random(seed)
     failures = []
     for i in range(count):
         report = _draw(rng, **kwargs)
-        res = cross_check(report.circuit, report)
+        res = cross_check(report.circuit, report, guard=guard)
         if not res.passed:
             failures.append(
                 f"circuit {i}: witness {res.witness}, {res.detail}\n{report.circuit}"

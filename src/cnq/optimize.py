@@ -9,7 +9,9 @@ multi-gate group as zero gates (sum = 0), one NOT-family gate (sum = K) or
 one root-K gate, emitted at the position of the group's last member with
 that member's own control lines.  Groups are never merged across a
 collapse that another gate observed: the exponent read there must stay
-intact.  Single-member groups are left verbatim.
+intact.  Single-member groups are left verbatim.  The returned
+``MergeResult`` keeps the input beside its rewrite and renders both, with
+the changes, as text or as a structured document.
 
 Boolean bookkeeping (NOT-family gates on lines still in Boolean form) is
 never touched.
@@ -17,7 +19,7 @@ never touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
 from .expr import Anf
@@ -44,8 +46,32 @@ class Change:
 
 @dataclass
 class MergeResult:
+    """The input circuit, its rewrite and the changes between them."""
+
+    original: Circuit
     circuit: Circuit
     changes: list[Change]
+
+    def to_dict(self) -> dict:
+        return {
+            "gate_counts": {
+                "before": self.original.gate_count(),
+                "after": self.circuit.gate_count(),
+            },
+            "changes": [ch.to_dict() for ch in self.changes],
+            "optimized": str(self.circuit),
+        }
+
+    def to_text(self) -> str:
+        """The gate counts, one line per change, a blank line and the rewrite."""
+        before = self.original.gate_count()["total_controlled"]
+        out = [f"controlled gates: {before} -> {self.circuit.gate_count()['total_controlled']}"]
+        for ch in self.changes:
+            tail = f": {ch.note}" if ch.kind == "cancel" else f" -> {ch.replacement}"
+            out.append(f"{ch.kind:<7} gates {ch.gate_indices} on {ch.target}{tail}")
+        if not self.changes:
+            out.append("no mergeable gate groups")
+        return "\n".join([*out, "", str(self.circuit).removesuffix("\n")])
 
 
 def merge_pass(circuit: Circuit) -> MergeResult:
@@ -97,35 +123,5 @@ def merge_pass(circuit: Circuit) -> MergeResult:
             raise AssertionError(
                 f"merge produced a non-equivalent circuit: {check.details}"
             )
-    return MergeResult(merged, changes)
+    return MergeResult(circuit, merged, changes)
 
-
-@dataclass
-class OptimizationReport:
-    before: dict[str, int]
-    after: dict[str, int]
-    changes: list[Change] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "gate_counts": {"before": dict(self.before), "after": dict(self.after)},
-            "changes": [ch.to_dict() for ch in self.changes],
-        }
-
-    def to_text(self) -> str:
-        out = [
-            f"controlled gates: {self.before['total_controlled']} -> "
-            f"{self.after['total_controlled']}"
-        ]
-        for ch in self.changes:
-            tail = f": {ch.note}" if ch.kind == "cancel" else f" -> {ch.replacement}"
-            out.append(f"{ch.kind:<7} gates {ch.gate_indices} on {ch.target}{tail}")
-        if not self.changes:
-            out.append("no mergeable gate groups")
-        return "\n".join(out)
-
-
-def optimization_report(
-    before: Circuit, after: Circuit, changes: list[Change] | None = None
-) -> OptimizationReport:
-    return OptimizationReport(before.gate_count(), after.gate_count(), list(changes or ()))

@@ -21,10 +21,9 @@ from .errors import (
     BadRootError,
     LineMismatchError,
     SimulationLimitError,
-    UnboundVariableError,
     UnknownLineError,
 )
-from .expr import Assignment, MlPoly, iter_assignments
+from .expr import Assignment, MlPoly, iter_assignments, point_bit
 from .symbolic import EvalReport, TargetState
 
 # Dense simulation is refused beyond this many lines.
@@ -60,11 +59,8 @@ class StateVector:
         n = len(lines)
         idx = 0
         for j, name in enumerate(lines):
-            try:
-                bit = point[name]
-            except KeyError:
-                raise UnboundVariableError(f"no input bit for line {name!r}") from None
-            idx |= (bit & 1) << (n - 1 - j)
+            if point_bit(point, name):
+                idx |= 1 << (n - 1 - j)
         amps = np.zeros(1 << n, dtype=np.complex128)
         amps[idx] = 1.0
         return cls(lines, amps)

@@ -310,12 +310,6 @@ class EquivVerdict:
     passed: bool
     details: dict[str, str]     # line name -> "match" or a mismatch description
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": "PASS" if self.passed else "FAIL",
-            "lines": dict(self.details),
-        }
-
 
 def equivalent(left: Circuit | EvalReport, right: Circuit | EvalReport) -> EquivVerdict:
     """Do both circuits compute the same value on every line?

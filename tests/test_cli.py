@@ -67,6 +67,17 @@ def test_parse_error_exits_two(capsys, tmp_path):
     assert "line 2" in err and "E_SYNTAX" in err
 
 
+@pytest.mark.parametrize("bad_side", [0, 1])
+def test_equiv_names_the_file_that_failed_to_parse(capsys, tmp_path, bad_side):
+    bad = tmp_path / "bad.cnq"
+    bad.write_text("line a\nfrobnicate a\n")
+    files = [FIG2, FIG2]
+    files[bad_side] = str(bad)
+    code, _, err = run(capsys, "equiv", *files)
+    assert code == 2
+    assert err.startswith(f"error: {bad}: line 2, col 1: E_SYNTAX")
+
+
 def test_target_interaction_exits_three(capsys):
     code, _, err = run(capsys, "eval", INTERACTION)
     assert code == 3
@@ -76,6 +87,13 @@ def test_target_interaction_exits_three(capsys):
 def test_guard_exits_four(capsys):
     code, _, err = run(capsys, "simulate", FIG2, "--guard-sim", "2")
     assert code == 4
+    assert "E_TOO_MANY_LINES" in err
+
+
+def test_fuzz_honours_the_simulation_guard(capsys):
+    code, out, err = run(capsys, "fuzz", "--count", "3", "--guard-sim", "1")
+    assert code == 4
+    assert out == ""
     assert "E_TOO_MANY_LINES" in err
 
 

@@ -10,7 +10,6 @@ from cnq import (
     check_spec,
     equivalent,
     merge_pass,
-    optimization_report,
     random_valid_circuit,
 )
 
@@ -125,19 +124,16 @@ def test_mixed_roots_merge_at_the_finer_root():
 # -- reporting --------------------------------------------------------------------
 
 
-def test_optimization_report_text(fig2):
-    result = merge_pass(fig2)
-    report = optimization_report(fig2, result.circuit, result.changes)
-    text = report.to_text()
+def test_merge_result_text(fig2):
+    text = merge_pass(fig2).to_text()
     assert "controlled gates: 10 -> 9" in text
     assert "promote gates [1, 5] on t -> cnot b t" in text
 
 
-def test_optimization_report_no_changes(fig2):
-    c = load("fig5")
-    report = optimization_report(c, c, [])
-    assert "no mergeable gate groups" in report.to_text()
-    doc = report.to_dict()
+def test_merge_result_no_changes(fig2):
+    result = merge_pass(load("fig5"))
+    assert "no mergeable gate groups" in result.to_text()
+    doc = result.to_dict()
     assert doc["changes"] == []
     assert doc["gate_counts"]["before"]["total_controlled"] == 7
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cnq import (
+    Anf,
     BadRootError,
     Circuit,
     Gate,
@@ -74,6 +75,16 @@ def test_basis_first_line_is_high_bit():
 def test_basis_requires_all_bits():
     with pytest.raises(UnboundVariableError):
         StateVector.basis(("a", "b"), {"a": 1})
+
+
+@pytest.mark.parametrize("bit", [2, -1])
+def test_basis_rejects_non_bits_as_evaluate_does(fig2, bit):
+    point = {"a": bit, "b": 0, "c": 0, "t": 0}
+    with pytest.raises(UnboundVariableError, match="non-bit") as from_anf:
+        Anf.var("a").evaluate(point)
+    with pytest.raises(UnboundVariableError) as from_basis:
+        simulate(fig2, point)
+    assert str(from_basis.value) == str(from_anf.value)
 
 
 def test_apply_cnot():
