@@ -1,10 +1,12 @@
 """The dense statevector oracle and the calculus-versus-matrices bridge.
 
 The simulator knows nothing about exponent polynomials: it multiplies
-2x2 complex matrices into statevectors.  ``cross_check`` replays a
-circuit on every basis input and compares amplitudes against the tensor
-product the symbolic report predicts, so each side independently checks
-the other.
+2x2 complex matrices into statevectors.  ``cross_check`` runs a circuit
+on every basis input in one sweep, where a line stays a column of bits
+until a gate could put it in superposition, and compares amplitudes
+against the tensor product the symbolic report predicts, so each side
+independently checks the other.  An input that may fail is confirmed
+with the dense ``simulate`` shown below.
 """
 
 from pathlib import Path

@@ -20,10 +20,10 @@ errors to exit codes, and prints either the text or the fields laid over
 the common document.
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or parse error,
-3 control taken from a non-Boolean line, 4 enumeration/simulation guard
-exceeded.  ``--format structured`` emits a single JSON document with
-``command``, ``verdict``, ``lines``, ``diagnostics`` and ``gate_counts``
-keys (plus per-command extras).
+3 control taken from a non-Boolean line, 4 simulation guard exceeded.
+``--format structured`` emits a single JSON document with ``command``,
+``verdict``, ``lines``, ``diagnostics`` and ``gate_counts`` keys (plus
+per-command extras).
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ def _load(path: str) -> Circuit:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        err = CnqError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
+        # ``main`` puts the path in front of the message
+        err = CnqError(f"cannot read: {getattr(exc, 'strerror', None) or exc}")
         err.code = "E_IO"
         raise err from None
     return Circuit.parse(text)
@@ -239,7 +240,7 @@ _COMMON_OPTIONS = {
     "--format": {"choices": ("text", "structured"), "default": "text",
                  "help": "output style (default: text)"},
     "--guard-enum": {"type": int, "default": DEFAULT_ENUM_GUARD, "metavar": "N",
-                     "help": "refuse exhaustive enumeration above N variables"},
+                     "help": "bound verify's witness search to N variables"},
     "--guard-sim": {"type": int, "default": DEFAULT_SIM_GUARD, "metavar": "N",
                     "help": "refuse dense simulation above N lines"},
 }

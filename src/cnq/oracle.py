@@ -1,10 +1,16 @@
-"""Dense complex-matrix oracle for the symbolic calculus.
+"""Complex-matrix oracle for the symbolic calculus.
 
-Everything here works on explicit statevectors of 2^n amplitudes and knows
-nothing about the exponent calculus: gates are applied as 2x2 complex
-matrices under basis-state controls.  ``cross_check`` is the bridge: it
-replays a circuit on every basis input and compares the simulated state
-with the tensor product predicted by an evaluation report.
+The simulation side knows nothing about the exponent calculus: gates are
+applied as 2x2 complex matrices under basis-state controls.  ``simulate``
+runs one basis input on a dense statevector of 2^n amplitudes.
+``_sweep`` runs every basis input at once: a line stays a column of bits
+until a gate could put it in superposition, and from then on it is one
+axis of a joint block of amplitudes that all such lines share, so
+entangled states are simulated exactly.
+
+``cross_check`` is the bridge: it compares the swept states on every
+basis input with the tensor product predicted by an evaluation report,
+and confirms each input that may fail with dense ``simulate``.
 
 Line order is significant: the first declared line is the most significant
 bit of the basis index.
@@ -13,6 +19,7 @@ bit of the basis index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,15 +28,26 @@ from .errors import (
     BadRootError,
     LineMismatchError,
     SimulationLimitError,
+    UnboundVariableError,
     UnknownLineError,
 )
-from .expr import Assignment, MlPoly, iter_assignments, point_bit
+from .expr import Assignment, MlPoly, point_bit
 from .symbolic import EvalReport, TargetState
 
-# Dense simulation is refused beyond this many lines.
+# Simulation is refused beyond this many lines.
 DEFAULT_SIM_GUARD = 12
 
 CROSS_CHECK_ATOL = 1e-9
+
+
+def _check_guard(n: int, guard: int) -> None:
+    if n > guard:
+        raise SimulationLimitError(f"{n} lines exceed the simulation guard ({guard})")
+
+
+def _check_root(k: int) -> None:
+    if not isinstance(k, int) or k < 1:
+        raise BadRootError(f"root index must be a positive integer, got {k}")
 
 
 def q_matrix(k: int, p: int) -> np.ndarray:
@@ -39,8 +57,7 @@ def q_matrix(k: int, p: int) -> np.ndarray:
     which gives the closed form below.  p may be any integer; p = k yields
     NOT and p = 2k the identity.
     """
-    if not isinstance(k, int) or k < 1:
-        raise BadRootError(f"root index must be a positive integer, got {k}")
+    _check_root(k)
     w = np.exp(1j * np.pi * p / k)
     d = (1 + w) / 2
     o = (1 - w) / 2
@@ -110,9 +127,7 @@ def simulate(
     circuit: Circuit, point: Assignment, *, guard: int = DEFAULT_SIM_GUARD
 ) -> StateVector:
     """Run the circuit on one basis input and return the final statevector."""
-    n = len(circuit.lines)
-    if n > guard:
-        raise SimulationLimitError(f"{n} lines exceed the simulation guard ({guard})")
+    _check_guard(len(circuit.lines), guard)
     state = StateVector.basis(circuit.line_names, point)
     for g in circuit.gates:
         state = apply_gate(state, g)
@@ -135,6 +150,134 @@ class CrossCheckResult:
         }
 
 
+# -- the all-inputs sweep ----------------------------------------------------------
+
+# A sweep chunk holds at most this many joint amplitudes (16 MB), or one
+# input's worth when a single input needs more.
+_CHUNK_AMPS = 1 << 20
+
+
+class _Sweep(NamedTuple):
+    """Final states of a run of basis inputs, one row per input.
+
+    A classical line is still a basis state on every input: ``bits`` holds
+    its bit per row.  The active lines share ``block``, the joint amplitudes
+    of shape (rows, 2^len(active)), first active line most significant.
+    """
+
+    bits: dict[str, np.ndarray]
+    active: tuple[str, ...]
+    block: np.ndarray
+
+
+def _and(columns: dict[str, np.ndarray], names, size: int) -> np.ndarray:
+    """The AND of the named bool columns (all True for no names)."""
+    out = np.ones(size, dtype=bool)
+    for v in names:
+        try:
+            out &= columns[v]
+        except KeyError:
+            raise UnboundVariableError(f"no value for variable {v!r}") from None
+    return out
+
+
+def _input_bits(names: tuple[str, ...], rows: range) -> dict[str, np.ndarray]:
+    """Each line's input bit over ``rows``, basis indices in counting order."""
+    idx = np.arange(rows.start, rows.stop, dtype=np.int64)
+    n = len(names)
+    return {name: (idx >> (n - 1 - j)) & 1 == 1 for j, name in enumerate(names)}
+
+
+def _stays_classical(gate: Gate, active) -> bool:
+    return gate.is_not_family and gate.target not in active and not any(
+        c in active for c in gate.controls
+    )
+
+
+def _active_lines(circuit: Circuit) -> list[str]:
+    """The lines the sweep activates, in order; they depend only on the gates."""
+    active: list[str] = []
+    for g in circuit.gates:
+        if not _stays_classical(g, active) and g.target not in active:
+            active.append(g.target)
+    return active
+
+
+def _sweep(circuit: Circuit, rows: range) -> _Sweep:
+    """Run the circuit on the basis inputs with indices in ``rows`` at once.
+
+    A NOT-family gate on classical lines XORs its control product into the
+    target's bits.  Any other gate first activates a classical target,
+    splitting the block on the target's bit, then applies ``apply_gate``'s
+    two-slice update to the rows where its classical controls hold and to
+    the ``1`` slice of each active control's axis.
+    """
+    bits = _input_bits(circuit.line_names, rows)
+    for g in circuit.gates:
+        for name in (*g.controls, g.target):
+            if name not in bits:
+                raise UnknownLineError(f"state has no line {name!r}")
+        if g.target in g.controls:
+            raise UnknownLineError(f"gate targets its own control {g.target!r}")
+    size = len(rows)
+    active: list[str] = []
+    block = np.ones((size, 1), dtype=np.complex128)
+    for g in circuit.gates:
+        if _stays_classical(g, active):
+            bits[g.target] = bits[g.target] ^ _and(bits, g.controls, size)
+            continue
+        if g.target not in active:
+            col = bits.pop(g.target)[:, None]
+            block = np.stack((block * ~col, block * col), axis=-1).reshape(size, -1)
+            active.append(g.target)
+        sel: list = [slice(None)] * (1 + len(active))
+        classical = [c for c in g.controls if c in bits]
+        if classical:
+            sel[0] = np.flatnonzero(_and(bits, classical, size))
+        for c in g.controls:
+            if c in active:
+                sel[1 + active.index(c)] = 1
+        d, o = q_matrix(g.k, g.p)[0]
+        amps = block.reshape((size,) + (2,) * len(active))
+        t_ax = 1 + active.index(g.target)
+        sel[t_ax] = 0
+        lo = tuple(sel)
+        sel[t_ax] = 1
+        hi = tuple(sel)
+        amps[lo], amps[hi] = d * amps[lo] + o * amps[hi], o * amps[lo] + d * amps[hi]
+    return _Sweep(bits, tuple(active), block)
+
+
+# -- the prediction --------------------------------------------------------------
+
+
+def _predict(state: TargetState, inputs: dict[str, np.ndarray], size: int):
+    """The predicted 2-vector Q^E(x)|base(x)> per input, as two columns."""
+    k = state.k_root
+    _check_root(k)
+    e = np.zeros(size, dtype=np.int64)
+    for mono, c in state.exponent.terms.items():
+        if c % (2 * k):
+            e += (c % (2 * k)) * _and(inputs, mono, size)
+    w = np.exp(1j * np.pi * (e % (2 * k)) / k)
+    d = (1 + w) / 2
+    o = (1 - w) / 2
+    base = np.zeros(size, dtype=bool)
+    for mono in state.base.monomials:
+        base ^= _and(inputs, mono, size)
+    return np.where(base, o, d), np.where(base, d, o)
+
+
+def _dense_error(circuit: Circuit, states, point: dict[str, int], guard: int) -> float:
+    """The largest amplitude error of one input, by dense simulation."""
+    sim = simulate(circuit, point, guard=guard).amps
+    pred = np.ones(1, dtype=np.complex128)
+    for st in states:
+        e = st.exponent.evaluate(point) % (2 * st.k_root)
+        pred = np.outer(pred, q_matrix(st.k_root, e)[:, st.base.evaluate(point)]).ravel()
+    return float(np.max(np.abs(sim - pred)))
+
+
 def cross_check(
     circuit: Circuit,
     report: EvalReport,
@@ -147,7 +290,18 @@ def cross_check(
     The report predicts a product state.  A residual line holds Q^E(x)
     applied to the basis state of its base value; a Boolean line is the
     case K = 1, E = 0 with its Anf value as the base.  Each amplitude must
-    agree within ``atol``.  ``simulate`` enforces the simulation guard.
+    agree within ``atol``.
+
+    All inputs are simulated at once by ``_sweep``, in chunks, and compared
+    factor by factor: each classical line's bit and the active block
+    against the predicted 2-vectors and their outer product.  If no factor
+    is off by more than delta = atol / (2(n+1)), the dense error is at most
+    (1+delta)^n - 1 + delta < atol, so only flagged inputs can fail (this
+    needs atol far above rounding error, as the default is).  Each
+    flagged input is re-run through dense ``simulate`` in counting order,
+    and the first whose error exceeds ``atol`` is the witness.  A passing
+    check never calls ``simulate``.  Circuits above ``guard`` lines are
+    refused before any work.
     """
     names = circuit.line_names
     if set(report.outcomes) != set(names):
@@ -155,22 +309,36 @@ def cross_check(
             f"report lines {sorted(report.outcomes)} do not match "
             f"circuit lines {sorted(names)}"
         )
+    n = len(names)
+    _check_guard(n, guard)
     states = [
         oc.state if oc.value is None else TargetState(oc.value, 1, MlPoly.zero())
         for oc in (report.outcomes[name] for name in names)
     ]
-
-    count = 0
-    for pt in iter_assignments(names):
-        sim = simulate(circuit, pt, guard=guard).amps
-        pred = np.ones(1, dtype=np.complex128)
-        for st in states:
-            e = st.exponent.evaluate(pt) % (2 * st.k_root)
-            pred = np.outer(pred, q_matrix(st.k_root, e)[:, st.base.evaluate(pt)]).ravel()
-        count += 1
-        err = float(np.max(np.abs(sim - pred)))
-        if err > atol:
-            return CrossCheckResult(
-                False, count, dict(pt), f"max amplitude error {err:.3e} exceeds {atol:g}"
-            )
-    return CrossCheckResult(True, count)
+    delta = atol / (2 * (n + 1))
+    chunk = max(1, _CHUNK_AMPS >> len(_active_lines(circuit)))
+    for start in range(0, 1 << n, chunk):
+        rows = range(start, min(start + chunk, 1 << n))
+        sw = _sweep(circuit, rows)
+        inputs = _input_bits(names, rows)
+        size = len(rows)
+        preds = {name: _predict(st, inputs, size) for name, st in zip(names, states)}
+        flagged = np.zeros(size, dtype=bool)
+        for name, bit in sw.bits.items():
+            p0, p1 = preds[name]
+            flagged |= np.maximum(np.abs(p0 - ~bit), np.abs(p1 - bit)) > delta
+        joint = np.ones((size, 1), dtype=np.complex128)
+        for name in sw.active:
+            pair = np.stack(preds[name], axis=-1)
+            joint = (joint[:, :, None] * pair[:, None, :]).reshape(size, -1)
+        joint -= sw.block
+        flagged |= np.max(np.abs(joint), axis=1) > delta
+        for r in np.flatnonzero(flagged):
+            i = start + int(r)
+            point = {name: (i >> (n - 1 - j)) & 1 for j, name in enumerate(names)}
+            err = _dense_error(circuit, states, point, guard)
+            if err > atol:
+                return CrossCheckResult(
+                    False, i + 1, point, f"max amplitude error {err:.3e} exceeds {atol:g}"
+                )
+    return CrossCheckResult(True, 1 << n)

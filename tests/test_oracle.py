@@ -1,7 +1,12 @@
 """Dense statevector oracle: gate matrices, simulation, cross-checking."""
 
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnq import (
     Anf,
@@ -9,15 +14,22 @@ from cnq import (
     Circuit,
     Gate,
     LineMismatchError,
+    MlPoly,
     SimulationLimitError,
     StateVector,
+    TargetInteractionError,
+    TargetState,
     UnboundVariableError,
     apply_gate,
     cross_check,
     evaluate,
+    iter_assignments,
+    oracle,
     q_matrix,
+    random_circuit,
     simulate,
 )
+from cnq.circuit import MAX_ROOT
 
 from conftest import load
 
@@ -217,3 +229,153 @@ def test_cross_check_separates_adjacent_exponents_at_the_root_limit():
     result = cross_check(c, report)
     assert not result.passed
     assert result.witness == {"a": 1, "t": 0}
+
+
+# -- the all-inputs sweep ---------------------------------------------------------
+
+
+def _sweep_dense(names, sweep):
+    """The sweep's rows as dense statevectors over ``names`` (first = high bit)."""
+    size = len(sweep.block)
+    active = list(sweep.active)
+    block = sweep.block.reshape((size,) + (2,) * len(active))
+    block = block.transpose(0, *(1 + active.index(n) for n in names if n in active))
+    out = np.zeros((size,) + (2,) * len(names), dtype=complex)
+    for r in range(size):
+        at = tuple(int(sweep.bits[n][r]) if n in sweep.bits else slice(None) for n in names)
+        out[(r, *at)] = block[r]
+    return out.reshape(size, -1)
+
+
+@pytest.mark.parametrize("entangling", [False, True])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_sweep_matches_dense_simulation(entangling, seed):
+    """The sweep equals ``simulate`` on every input, also where lines entangle.
+
+    ``entangling`` draws circuits that ``evaluate`` rejects because a root
+    gate's target later controls another gate.
+    """
+    rng = random.Random(seed)
+    while True:
+        c = random_circuit(rng, max_lines=6)
+        try:
+            evaluate(c)
+            rejected = False
+        except TargetInteractionError:
+            rejected = True
+        if rejected == entangling:
+            break
+    names = c.line_names
+    sweep = oracle._sweep(c, range(1 << len(names)))
+    dense = _sweep_dense(names, sweep)
+    for i, pt in enumerate(iter_assignments(names)):
+        assert np.max(np.abs(dense[i] - simulate(c, pt).amps)) < 1e-12
+
+
+def _vchain(controls, gates):
+    """``v x_i -> t`` then ``cnot x_i x_(i+1)``, wrapping round until ``gates`` gates."""
+    text = [f"line x{i}" for i in range(controls)] + ["line t target"]
+    i = 0
+    while len(text) - controls - 1 < gates:
+        text.append(f"v x{i % controls} -> t")
+        text.append(f"cnot x{i % controls} x{(i + 1) % controls}")
+        i += 1
+    return Circuit.parse("\n".join(text[: controls + 1 + gates]) + "\n")
+
+
+def test_passing_cross_check_never_simulates(monkeypatch):
+    c = _vchain(11, 40)
+    assert len(c.lines) == 12 and len(c.gates) == 40
+    calls = []
+    monkeypatch.setattr(oracle, "simulate", lambda *a, **kw: calls.append(a))
+    result = cross_check(c, evaluate(c))
+    assert result.passed and result.inputs_checked == 1 << 12
+    assert calls == []
+
+
+def _per_input_cross_check(circuit, report, atol=1e-9):
+    """``cross_check`` as one dense simulation per input, in counting order."""
+    names = circuit.line_names
+    states = [
+        oc.state if oc.value is None else TargetState(oc.value, 1, MlPoly.zero())
+        for oc in (report.outcomes[name] for name in names)
+    ]
+    for count, pt in enumerate(iter_assignments(names), 1):
+        sim = simulate(circuit, pt).amps
+        pred = np.ones(1, dtype=complex)
+        for s in states:
+            e = s.exponent.evaluate(pt) % (2 * s.k_root)
+            pred = np.outer(pred, q_matrix(s.k_root, e)[:, s.base.evaluate(pt)]).ravel()
+        err = float(np.max(np.abs(sim - pred)))
+        if err > atol:
+            return False, count, pt, f"max amplitude error {err:.3e} exceeds {atol:g}"
+    return True, count, None, None
+
+
+def _mutate(report, line, **changes):
+    oc = report.outcomes[line]
+    state = replace(oc.state, **changes)
+    return replace(report, outcomes={**report.outcomes, line: replace(oc, state=state)})
+
+
+def _plus_one(poly, monomial=frozenset()):
+    terms = dict(poly.terms)
+    terms[monomial] = terms.get(monomial, 0) + 1
+    return MlPoly(terms)
+
+
+_TWO_RESIDUALS = (
+    "line a\nline b\nline s target\nline t target\n"
+    "v a -> s\ncnot a b\nw b -> t\nv* b -> s\n"
+)
+_DEEP_ROOT = (
+    "line a\nline b\nline t target\n"
+    f"q k={MAX_ROOT} p=3 a -> t\ncnot b a\nq k={MAX_ROOT} p=5 a b -> t\n"
+)
+
+
+def _wrong_constant(report):
+    return _mutate(report, "t", exponent=_plus_one(report.outcomes["t"].state.exponent))
+
+
+def _wrong_base(report):
+    oc = report.outcomes["t"]
+    return _mutate(report, "t", base=oc.state.base ^ Anf.var("a"))
+
+
+def _swapped_residuals(report):
+    s, t = report.outcomes["s"], report.outcomes["t"]
+    return replace(report, outcomes={**report.outcomes, "s": replace(s, state=t.state),
+                                     "t": replace(t, state=s.state)})
+
+
+def _deep_off_by_one(report):
+    exponent = report.outcomes["t"].state.exponent
+    return _mutate(report, "t", exponent=_plus_one(exponent, frozenset({"a", "b"})))
+
+
+@pytest.mark.parametrize(
+    "text,mutate",
+    [
+        (_TWO_RESIDUALS, _wrong_constant),
+        (_TWO_RESIDUALS, _wrong_base),
+        (_TWO_RESIDUALS, _swapped_residuals),
+        (_DEEP_ROOT, _wrong_constant),
+        (_DEEP_ROOT, _deep_off_by_one),
+    ],
+    ids=["constant", "base", "swapped", "deep-constant", "deep-off-by-one"],
+)
+@pytest.mark.parametrize("chunk_amps", [None, 2])
+def test_cross_check_fails_mutated_reports_as_the_per_input_loop_does(
+    text, mutate, chunk_amps, monkeypatch
+):
+    if chunk_amps:                  # many chunks: the witness lies past the first
+        monkeypatch.setattr(oracle, "_CHUNK_AMPS", chunk_amps)
+    c = Circuit.parse(text)
+    report = mutate(evaluate(c))
+    result = cross_check(c, report)
+    passed, count, witness, detail = _per_input_cross_check(c, report)
+    assert not passed
+    assert (result.passed, result.inputs_checked, result.witness, result.detail) == (
+        passed, count, witness, detail)
