@@ -17,7 +17,8 @@ arguments and the loaded circuits and returns its verdict (``True``,
 ``False`` or ``None`` when the command has none), its structured fields
 and its text.  ``main`` is the one emitter: it loads the files, maps
 errors to exit codes, and prints either the text or the fields laid over
-the common document.
+the common document.  If the reader closes the pipe early, the rest of
+the output is dropped without a traceback and the exit code is unchanged.
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or parse error,
 3 control taken from a non-Boolean line, 4 simulation guard exceeded.
@@ -297,9 +298,14 @@ def main(argv: list[str] | None = None) -> int:
             "diagnostics": [],
             "gate_counts": circuits[0].gate_count() if len(circuits) == 1 else {},
         }
-        print(json.dumps({**doc, **fields}, indent=2))
-    else:
+        text = json.dumps({**doc, **fields}, indent=2)
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (`cnq ... | head`).  With no stdout, later
+        # prints and the interpreter's own flush at exit write nothing.
+        sys.stdout = None
     return EXIT_FAIL if passed is False else EXIT_OK
 
 

@@ -16,6 +16,10 @@ via  P xor Q = P + Q - 2PQ  with multilinear reduction (v*v = v), so e.g.
 Given a modulus it reduces at every step of that fold (reduction is a ring
 homomorphism), so an XOR of m variables mod 2K never grows past the terms
 of degree <= log2(2K) instead of expanding all 2^m - 1 of them first.
+Reduced folds are memoized in a small LRU keyed by (monomials, modulus),
+so a control that recurs across gates and evaluations is folded once; the
+result is shared between callers, which is why an :class:`MlPoly` is
+treated as an immutable value.
 ``MlPoly.from_values`` interpolates the unique multilinear polynomial
 through a value table on {0,1}^n (the coefficient/value transform is
 unimodular, hence exactly invertible over the integers).
@@ -23,6 +27,7 @@ unimodular, hence exactly invertible over the integers).
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
@@ -168,26 +173,15 @@ class Anf:
         monomials has a coefficient divisible by 2^(d-1), so mod 2K only
         products of at most log2(2K) monomials survive: an XOR of single
         variables keeps degree <= log2(2K).
+
+        Reduced folds are memoized per (monomials, modulus) in a small LRU
+        and shared between calls, so the result must not be mutated.  The
+        unreduced fold, which can hold 2^m terms, is never kept.
         """
-        if modulus is not None:
-            _check_modulus(modulus)
-        acc: dict[frozenset[str], int] = {}
-        for t in self.monomials:
-            step = {t: 1}                       # t - 2*acc*t, from the old acc
-            for m, c in acc.items():
-                d = -2 * c if modulus is None else -2 * c % modulus
-                if d:
-                    mt = m | t
-                    step[mt] = step.get(mt, 0) + d
-            for m, d in step.items():
-                c = acc.get(m, 0) + d
-                if modulus is not None:
-                    c %= modulus
-                if c:
-                    acc[m] = c
-                else:
-                    acc.pop(m, None)
-        return MlPoly._wrap(acc)
+        if modulus is None:
+            return _fold(self.monomials, None)
+        _check_modulus(modulus)
+        return _fold_mod(self.monomials, modulus)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -224,8 +218,44 @@ def display_anf(x: Anf) -> str:
     return str(x)
 
 
+def _fold(monomials: frozenset, modulus: int | None) -> "MlPoly":
+    """``Anf.to_arith`` on a monomial set; the caller checks the modulus."""
+    acc: dict[frozenset[str], int] = {}
+    for t in monomials:
+        step = {t: 1}                       # t - 2*acc*t, from the old acc
+        for m, c in acc.items():
+            d = -2 * c if modulus is None else -2 * c % modulus
+            if d:
+                mt = m | t
+                step[mt] = step.get(mt, 0) + d
+        for m, d in step.items():
+            c = acc.get(m, 0) + d
+            if modulus is not None:
+                c %= modulus
+            if c:
+                acc[m] = c
+            else:
+                acc.pop(m, None)
+    return MlPoly._wrap(acc)
+
+
+# Bound of the reduced-fold memo.  A job of the benchmark's XOR-heavy
+# workload (four evaluations of two circuits) folds about 21 distinct
+# (control, modulus) pairs, so one job's worth fits.  Larger bounds were no
+# faster there and only kept more dead folds alive: over that workload's
+# runs, 32 entries added 0.4-0.9 MB of peak RSS, 128 entries 1.5-2.1 MB
+# and 4096 entries about 48 MB.
+_FOLD_MEMO_SIZE = 32
+_fold_mod = functools.lru_cache(maxsize=_FOLD_MEMO_SIZE)(_fold)
+
+
 class MlPoly:
-    """A multilinear polynomial with integer coefficients."""
+    """A multilinear polynomial with integer coefficients.
+
+    Treated as an immutable value: every operation returns a new
+    polynomial, and ``Anf.to_arith`` hands the same memoized instance to
+    every caller, so nothing may write to ``terms``.
+    """
 
     __slots__ = ("terms",)
 

@@ -208,9 +208,10 @@ def _sweep(circuit: Circuit, rows: range) -> _Sweep:
 
     A NOT-family gate on classical lines XORs its control product into the
     target's bits.  Any other gate first activates a classical target,
-    splitting the block on the target's bit, then applies ``apply_gate``'s
-    two-slice update to the rows where its classical controls hold and to
-    the ``1`` slice of each active control's axis.
+    splitting the block on the target's bit into one new array, then
+    applies the two-slice update of ``apply_gate`` in place (``_two_slice``)
+    to the rows where its classical controls hold and to the ``1`` slice
+    of each active control's axis.
     """
     bits = _input_bits(circuit.line_names, rows)
     for g in circuit.gates:
@@ -228,24 +229,39 @@ def _sweep(circuit: Circuit, rows: range) -> _Sweep:
             continue
         if g.target not in active:
             col = bits.pop(g.target)[:, None]
-            block = np.stack((block * ~col, block * col), axis=-1).reshape(size, -1)
+            grown = np.empty((size, block.shape[1], 2), dtype=np.complex128)
+            np.multiply(block, ~col, out=grown[:, :, 0])
+            np.multiply(block, col, out=grown[:, :, 1])
+            block = grown.reshape(size, -1)
             active.append(g.target)
         sel: list = [slice(None)] * (1 + len(active))
-        classical = [c for c in g.controls if c in bits]
-        if classical:
-            sel[0] = np.flatnonzero(_and(bits, classical, size))
         for c in g.controls:
             if c in active:
                 sel[1 + active.index(c)] = 1
-        d, o = q_matrix(g.k, g.p)[0]
         amps = block.reshape((size,) + (2,) * len(active))
         t_ax = 1 + active.index(g.target)
         sel[t_ax] = 0
-        lo = tuple(sel)
+        lo = amps[tuple(sel)]
         sel[t_ax] = 1
-        hi = tuple(sel)
-        amps[lo], amps[hi] = d * amps[lo] + o * amps[hi], o * amps[lo] + d * amps[hi]
+        o = q_matrix(g.k, g.p)[0, 1]
+        classical = [c for c in g.controls if c in bits]
+        if classical:             # rows whose classical controls fail get o = 0
+            held = _and(bits, classical, size)
+            o = np.where(held, o, 0).reshape((size,) + (1,) * (lo.ndim - 1))
+        _two_slice(lo, amps[tuple(sel)], o)
     return _Sweep(bits, tuple(active), block)
+
+
+def _two_slice(lo: np.ndarray, hi: np.ndarray, o) -> None:
+    """Apply Q^p = [[d, o], [o, d]] to the slice pair in place.
+
+    d + o = 1, so the update is lo -= o*(lo - hi), hi += o*(lo - hi): one
+    slice-sized temporary, written back through the views.
+    """
+    step = lo - hi
+    step *= o
+    lo -= step
+    hi += step
 
 
 # -- the prediction --------------------------------------------------------------
@@ -266,6 +282,34 @@ def _predict(state: TargetState, inputs: dict[str, np.ndarray], size: int):
     for mono in state.base.monomials:
         base ^= _and(inputs, mono, size)
     return np.where(base, o, d), np.where(base, d, o)
+
+
+def _flagged(circuit: Circuit, states, rows: range, delta: float) -> np.ndarray:
+    """Which inputs in ``rows`` have a factor off its prediction by more than delta.
+
+    The predicted product of the active lines is subtracted from the swept
+    block in place, its last factor one slice at a time, so besides the
+    block only a half-block temporary is ever held.
+    """
+    names = circuit.line_names
+    bits, active, block = _sweep(circuit, rows)
+    inputs = _input_bits(names, rows)
+    size = len(rows)
+    preds = {name: _predict(st, inputs, size) for name, st in zip(names, states)}
+    flagged = np.zeros(size, dtype=bool)
+    for name, bit in bits.items():
+        p0, p1 = preds[name]
+        flagged |= np.maximum(np.abs(p0 - ~bit), np.abs(p1 - bit)) > delta
+    if active:                  # with none, the block is all ones, as predicted
+        joint = np.ones((size, 1), dtype=np.complex128)
+        for name in active[:-1]:
+            pair = np.stack(preds[name], axis=-1)
+            joint = (joint[:, :, None] * pair[:, None, :]).reshape(size, -1)
+        halves = block.reshape(size, -1, 2)
+        for b, pred in enumerate(preds[active[-1]]):
+            halves[:, :, b] -= joint * pred[:, None]
+        flagged |= np.max(np.abs(block), axis=1) > delta
+    return flagged
 
 
 def _dense_error(circuit: Circuit, states, point: dict[str, int], guard: int) -> float:
@@ -319,21 +363,7 @@ def cross_check(
     chunk = max(1, _CHUNK_AMPS >> len(_active_lines(circuit)))
     for start in range(0, 1 << n, chunk):
         rows = range(start, min(start + chunk, 1 << n))
-        sw = _sweep(circuit, rows)
-        inputs = _input_bits(names, rows)
-        size = len(rows)
-        preds = {name: _predict(st, inputs, size) for name, st in zip(names, states)}
-        flagged = np.zeros(size, dtype=bool)
-        for name, bit in sw.bits.items():
-            p0, p1 = preds[name]
-            flagged |= np.maximum(np.abs(p0 - ~bit), np.abs(p1 - bit)) > delta
-        joint = np.ones((size, 1), dtype=np.complex128)
-        for name in sw.active:
-            pair = np.stack(preds[name], axis=-1)
-            joint = (joint[:, :, None] * pair[:, None, :]).reshape(size, -1)
-        joint -= sw.block
-        flagged |= np.max(np.abs(joint), axis=1) > delta
-        for r in np.flatnonzero(flagged):
+        for r in np.flatnonzero(_flagged(circuit, states, rows, delta)):
             i = start + int(r)
             point = {name: (i >> (n - 1 - j)) & 1 for j, name in enumerate(names)}
             err = _dense_error(circuit, states, point, guard)

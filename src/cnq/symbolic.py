@@ -47,21 +47,31 @@ class TargetState:
             raise ValueError(f"cannot rebase root {self.k_root} onto {k_new}")
         if k_new == self.k_root:
             return self
-        factor = k_new // self.k_root
-        return TargetState(
-            self.base, k_new, (self.exponent * factor).reduce_mod(2 * k_new)
-        )
+        factor, m = k_new // self.k_root, 2 * k_new
+        terms = {
+            mono: r for mono, c in self.exponent.terms.items() if (r := c * factor % m)
+        }
+        return TargetState(self.base, k_new, MlPoly._wrap(terms))
 
     def absorb(self, k: int, p: int, control: Anf) -> "TargetState":
         """Add one gate's contribution p * arith(control) at root k.
 
         The term p * (k2/k) * arith mod 2*k2 depends only on arith mod 2k,
         so the control is folded mod the gate's own 2k: a V gate keeps only
-        terms of degree <= 2 even inside a finer-root episode.
+        terms of degree <= 2 even inside a finer-root episode.  The rebased
+        exponent is canonical, so only the control's terms are added and
+        reduced, in one copy; the receiver is left unchanged.
         """
         k2 = max(self.k_root, k)
-        e = self.rebased(k2).exponent + (p * (k2 // k)) * control.to_arith(2 * k)
-        return TargetState(self.base, k2, e.reduce_mod(2 * k2))
+        scale, m = p * (k2 // k), 2 * k2
+        terms = dict(self.rebased(k2).exponent.terms)
+        for mono, c in control.to_arith(2 * k).terms.items():
+            c2 = (terms.get(mono, 0) + scale * c) % m
+            if c2:
+                terms[mono] = c2
+            else:
+                terms.pop(mono, None)
+        return TargetState(self.base, k2, MlPoly._wrap(terms))
 
     def collapse(self) -> Anf | None:
         """The Boolean value of this state, or None if it has none.
@@ -182,7 +192,7 @@ def evaluate(circuit: Circuit) -> EvalReport:
     trace: list[GateRecord] = []
 
     for i, g in enumerate(circuit.gates):
-        ctrl = Anf.one()
+        ctrl = None if g.controls else Anf.one()
         for cname in g.controls:
             s = states[cname]
             if isinstance(s, TargetState):
@@ -195,7 +205,7 @@ def evaluate(circuit: Circuit) -> EvalReport:
                     )
                 last_state[cname] = s
                 states[cname] = s = v
-            ctrl = ctrl & s
+            ctrl = s if ctrl is None else ctrl & s
 
         tstate = states[g.target]
         p = g.p % (2 * g.k)

@@ -274,3 +274,26 @@ def test_structured_equiv_line_mismatch(capsys):
     assert code == 1
     assert doc["verdict"] == "FAIL"
     assert doc["diagnostics"][0]["code"] == "E_LINE_MISMATCH"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(("argv", "expected"), [
+    (["optimize", FIG2], 0),
+    (["verify", BROKEN], 1),
+    (["eval", FIG2, "--format", "structured"], 0),
+])
+def test_closed_pipe_keeps_the_exit_code_and_prints_no_traceback(
+    capsys, monkeypatch, argv, expected
+):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(argv) == expected
+    assert capsys.readouterr().err == ""

@@ -133,6 +133,14 @@ def test_to_arith_with_modulus_reduces_the_integer_form(x, m):
     assert x.to_arith(m) == x.to_arith().reduce_mod(m)
 
 
+@given(anfs, st.sampled_from([2, 4, 8, 16]))
+def test_memoized_to_arith_matches_the_reduced_integer_form(x, m):
+    # the first call may fill the memo, the repeat reads it back
+    want = x.to_arith().reduce_mod(m)
+    assert x.to_arith(m) == want
+    assert Anf(x.monomials).to_arith(m) == want
+
+
 def test_to_arith_mod_2k_keeps_low_degree_terms_only():
     # an XOR of 24 variables has 2^24 - 1 integer terms; mod 4 only degrees
     # 1 and 2 survive (24 + 276), mod 8 also degree 3 (+ 2024)

@@ -1,6 +1,7 @@
 """Dense statevector oracle: gate matrices, simulation, cross-checking."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -292,6 +293,23 @@ def test_passing_cross_check_never_simulates(monkeypatch):
     result = cross_check(c, evaluate(c))
     assert result.passed and result.inputs_checked == 1 << 12
     assert calls == []
+
+
+def test_cross_check_of_twelve_active_lines_stays_near_its_chunk_cap():
+    # every line is active, so each 16 MB chunk fills the whole amplitude cap
+    n = 12
+    c = Circuit.parse(
+        "\n".join([f"line x{i} target" for i in range(n)] + [f"v -> x{i}" for i in range(n)])
+    )
+    report = evaluate(c)
+    tracemalloc.start()
+    try:
+        result = cross_check(c, report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed and result.inputs_checked == 1 << n
+    assert peak < 40 * 2**20
 
 
 def _per_input_cross_check(circuit, report, atol=1e-9):

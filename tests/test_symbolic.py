@@ -108,6 +108,13 @@ def test_absorb_matches_the_unreduced_sum(state, k, p, ctrl):
     assert got.exponent == want.reduce_mod(2 * k2)
 
 
+@given(target_states(), roots, st.integers(min_value=1, max_value=15), anfs)
+def test_absorb_leaves_its_receiver_unchanged(state, k, p, ctrl):
+    before = dict(state.exponent.terms)
+    state.absorb(k, p, ctrl)
+    assert state.exponent.terms == before
+
+
 @given(target_states())
 def test_rebase_preserves_collapse(state):
     fine = state.rebased(2 * state.k_root)
@@ -226,6 +233,28 @@ def test_tainted_control_collapses_before_use(fig6):
     rec = report.trace[8]
     assert rec.target == "d"
     assert rec.resolved_control == Anf.parse("c ^ a&b")
+
+
+def test_evaluate_leaves_a_memoized_fold_unchanged():
+    # to_arith hands every caller the same memoized polynomial
+    x = Anf.parse("a ^ b ^ c ^ x")
+    shared = x.to_arith(4)
+    before = MlPoly(shared.terms)
+    c = Circuit.parse(
+        "line a\nline b\nline c\nline x\nline t target\n"
+        "cnot a x\ncnot b x\ncnot c x\nv x -> t\nv x -> t\nv x -> t\n"
+    )
+    assert evaluate(c).trace[3].resolved_control == x
+    assert shared == before
+    assert x.to_arith(4) == before
+
+
+def test_resolved_control_is_the_product_of_the_controls():
+    c = Circuit.parse(
+        "line a\nline b\nline t target\nv -> t\nv a -> t\nccx a b t\n"
+    )
+    got = [rec.resolved_control for rec in evaluate(c).trace]
+    assert got == [Anf.one(), Anf.var("a"), Anf.parse("a&b")]
 
 
 def test_interaction_raises_with_gate_index():
