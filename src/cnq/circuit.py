@@ -42,6 +42,8 @@ from .expr import Anf, _ExprParser, _VAR_RE
 
 _SUGAR = {"v": (2, 1), "v*": (2, 3), "w": (4, 1), "w*": (4, 7)}
 _SUGAR_BY_KP = {kp: name for name, kp in _SUGAR.items()}
+# argument counts of the NOT statements: (fewest, most), None for no limit
+_NOT_ARITY = {"not": (1, 1), "cnot": (2, 2), "ccx": (2, None)}
 
 # Largest root index.  Adjacent exponents at root k differ in amplitude by about
 # pi/(2k): 1.5e-6 at 2^20, far above cross_check's 1e-9 tolerance (7.3e-10 at 2^31).
@@ -233,16 +235,10 @@ def _spec_rule(
             yield v, UndeclaredLineError(f"line {v!r} used before declaration")
 
 
-def _raise_first(
-    problems: Iterable[_Problem],
-    lineno: int,
-    toks: Sequence[tuple[str, int]] = (),
-    col: int | None = None,
-) -> None:
-    """Raise the first problem at the column of its name in ``toks``, else at ``col``."""
+def _raise_first(problems: Iterable[_Problem], toks: Sequence[tuple[str, int]]) -> None:
+    """Raise the first problem at the column of its name in ``toks``."""
     for name, err in problems:
-        err.line = lineno
-        err.col = next((c for t, c in toks if t == name), col)
+        err.col = next((c for t, c in toks if t == name), None)
         raise err
 
 
@@ -268,11 +264,21 @@ def _tokenize(body: str) -> list[tuple[str, int]]:
     return out
 
 
+def _int_param(tok: tuple[str, int], what: str) -> int:
+    """The integer after ``k=`` or ``p=`` in a ``q`` statement's token."""
+    text, col = tok
+    try:
+        return int(text[2:])
+    except ValueError:
+        raise ParseError(f"bad {what} {text[2:]!r}", col=col) from None
+
+
 def _parse_circuit(text: str) -> Circuit:
     """Parse statement by statement: grammar first, then the statement's rules.
 
     Rules see only the lines declared so far, so a name must be declared
-    before it is used.
+    before it is used.  A statement's errors carry their column; this loop
+    stamps the line number on them.
     """
     lines: list[Line] = []
     declared: set[str] = set()
@@ -286,100 +292,78 @@ def _parse_circuit(text: str) -> Circuit:
             continue
         toks = _tokenize(body)
         head, hcol = toks[0]
+        try:
+            if head == "line":
+                if len(toks) < 2 or len(toks) > 3:
+                    raise ParseError("expected: line <id> [target]", col=hcol)
+                name = toks[1][0]
+                _raise_first(_line_rule(name, declared), toks[1:2])
+                is_target = len(toks) == 3
+                if is_target and toks[2][0] != "target":
+                    role, rcol = toks[2]
+                    raise ParseError(f"expected 'target' or end of line, got {role!r}", col=rcol)
+                declared.add(name)
+                if is_target:
+                    targets.add(name)
+                lines.append(Line(name, is_target))
 
-        if head == "line":
-            if len(toks) < 2 or len(toks) > 3:
-                raise ParseError("expected: line <id> [target]", line=lineno, col=hcol)
-            name = toks[1][0]
-            _raise_first(_line_rule(name, declared), lineno, toks[1:2])
-            is_target = False
-            if len(toks) == 3:
-                role, rcol = toks[2]
-                if role != "target":
-                    raise ParseError(
-                        f"expected 'target' or end of line, got {role!r}",
-                        line=lineno,
-                        col=rcol,
-                    )
-                is_target = True
-            declared.add(name)
-            if is_target:
-                targets.add(name)
-            lines.append(Line(name, is_target))
-
-        elif head == "spec":
-            eq = body.find("=")
-            if eq < 0:
-                raise ParseError("expected: spec <target> = <expr>", line=lineno, col=hcol)
-            left = _tokenize(body[:eq])
-            if len(left) != 2:
-                raise ParseError("expected: spec <target> = <expr>", line=lineno, col=hcol)
-            name, ncol = left[1]
-            if name in specs:
-                raise ParseError(f"duplicate spec for line {name!r}", line=lineno, col=ncol)
-            try:
-                expr = _ExprParser(body[eq + 1 :], col_offset=eq + 1).run_anf()
-            except ParseError as exc:
-                exc.line = lineno
+            elif head == "spec":
+                eq = body.find("=")
+                if eq < 0 or len(left := _tokenize(body[:eq])) != 2:
+                    raise ParseError("expected: spec <target> = <expr>", col=hcol)
+                name, ncol = left[1]
+                if name in specs:
+                    raise ParseError(f"duplicate spec for line {name!r}", col=ncol)
                 # the name comes first in the text, so its problems come first
-                _raise_first(_spec_rule(name, Anf.zero(), declared, targets), lineno, left[1:])
-                raise
-            _raise_first(_spec_rule(name, expr, declared, targets), lineno, left[1:], eq + 2)
-            specs[name] = expr
+                _raise_first(_spec_rule(name, Anf.zero(), declared, targets), left[1:])
+                expr_parser = _ExprParser(body, eq + 1)
+                expr = expr_parser.run_anf()
+                _raise_first(_spec_rule(name, expr, declared, targets), expr_parser.tokens)
+                specs[name] = expr
 
-        elif head in ("not", "cnot", "ccx"):
-            args = toks[1:]
-            min_args = {"not": 1, "cnot": 2, "ccx": 2}[head]
-            if len(args) < min_args or (head != "ccx" and len(args) != min_args):
-                raise ParseError(f"malformed {head} statement", line=lineno, col=hcol)
-            ctrls, target = tuple(c for c, _ in args[:-1]), args[-1][0]
-            _raise_first(_gate_rules(1, 1, ctrls, target, declared), lineno, args)
-            gates.append(Gate(1, 1, ctrls, target))
+            elif head in _NOT_ARITY:
+                args = toks[1:]
+                fewest, most = _NOT_ARITY[head]
+                if not fewest <= len(args) <= (most or len(args)):
+                    raise ParseError(f"malformed {head} statement", col=hcol)
+                ctrls, target = tuple(c for c, _ in args[:-1]), args[-1][0]
+                _raise_first(_gate_rules(1, 1, ctrls, target, declared), args)
+                gates.append(Gate(1, 1, ctrls, target))
 
-        elif head in _SUGAR or head == "q":
-            arrow = next((i for i, (t, _) in enumerate(toks) if t == "->"), None)
-            if arrow is None or arrow != len(toks) - 2:
-                raise ParseError(
-                    "expected: ... -> <line> with exactly one target", line=lineno, col=hcol
-                )
-            params = toks[1:arrow]
-            if head == "q":
-                if (
-                    len(params) < 2
-                    or not params[0][0].startswith("k=")
-                    or not params[1][0].startswith("p=")
-                ):
-                    raise ParseError(
-                        "expected: q k=<int> p=<int> [controls] -> <line>",
-                        line=lineno,
-                        col=hcol,
-                    )
-                try:
-                    k = int(params[0][0][2:])
-                except ValueError:
-                    raise ParseError(
-                        f"bad root index {params[0][0][2:]!r}", line=lineno, col=params[0][1]
-                    ) from None
-                try:
-                    p = int(params[1][0][2:])
-                except ValueError:
-                    raise ParseError(
-                        f"bad power {params[1][0][2:]!r}", line=lineno, col=params[1][1]
-                    ) from None
-                params = params[2:]
+            elif head in _SUGAR or head == "q":
+                arrow = next((i for i, (t, _) in enumerate(toks) if t == "->"), None)
+                if arrow is None or arrow != len(toks) - 2:
+                    raise ParseError("expected: ... -> <line> with exactly one target", col=hcol)
+                params = toks[1:arrow]
+                if head == "q":
+                    if (
+                        len(params) < 2
+                        or not params[0][0].startswith("k=")
+                        or not params[1][0].startswith("p=")
+                    ):
+                        raise ParseError(
+                            "expected: q k=<int> p=<int> [controls] -> <line>", col=hcol
+                        )
+                    k, p = _int_param(params[0], "root index"), _int_param(params[1], "power")
+                    params = params[2:]
+                else:
+                    k, p = _SUGAR[head]
+                ctrls, target = tuple(c for c, _ in params), toks[-1][0]
+                # only a q statement can have a bad root or a zero power; they are
+                # reported at its k= and p= tokens
+                located = (("k=", toks[1][1]), ("p=", toks[2][1]), *params, toks[-1])
+                _raise_first(_gate_rules(k, p, ctrls, target, declared), located)
+                gates.append(Gate(k, p % (2 * k), ctrls, target))
+
             else:
-                k, p = _SUGAR[head]
-            ctrls, target = tuple(c for c, _ in params), toks[-1][0]
-            # only a q statement can have a bad root or a zero power; they are
-            # reported at its k= and p= tokens
-            located = (("k=", toks[1][1]), ("p=", toks[2][1]), *params, toks[-1])
-            _raise_first(_gate_rules(k, p, ctrls, target, declared), lineno, located)
-            gates.append(Gate(k, p % (2 * k), ctrls, target))
+                raise ParseError(f"unknown statement {head!r}", col=hcol)
+        except CnqError as exc:
+            exc.line = lineno
+            raise
 
-        else:
-            raise ParseError(f"unknown statement {head!r}", line=lineno, col=hcol)
-
-    _raise_first(_circuit_rule(lines), 1, col=1)
+    for _, err in _circuit_rule(lines):
+        err.line = err.col = 1
+        raise err
     return Circuit(tuple(lines), tuple(gates), specs)
 
 

@@ -12,13 +12,16 @@ Subcommands::
               (``--count N`` circuits, N >= 1)
 
 Each subcommand is one row of ``_COMMANDS``: its help text, the circuit
-files it reads, its own options and a handler.  A handler gets the parsed
-arguments and the loaded circuits and returns its verdict (``True``,
-``False`` or ``None`` when the command has none), its structured fields
-and its text.  ``main`` is the one emitter: it loads the files, maps
-errors to exit codes, and prints either the text or the fields laid over
-the common document.  If the reader closes the pipe early, the rest of
-the output is dropped without a traceback and the exit code is unchanged.
+files it reads, its own options and a handler.  Every subcommand takes
+``--format``; each guard goes only to the commands it bounds:
+``--guard-enum`` to ``verify``, ``--guard-sim`` to ``simulate``, ``check``
+and ``fuzz``.  A handler gets the parsed arguments and the loaded
+circuits and returns its verdict (``True``, ``False`` or ``None`` when
+the command has none), its structured fields and its text.  ``main`` is
+the one emitter: it loads the files, maps errors to exit codes, and
+prints either the text or the fields laid over the common document.  If
+the reader closes the pipe early, the rest of the output is dropped
+without a traceback and the exit code is unchanged.
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or parse error,
 3 control taken from a non-Boolean line, 4 simulation guard exceeded.
@@ -39,7 +42,6 @@ from typing import NamedTuple
 from .circuit import Circuit
 from .errors import (
     CnqError,
-    EnumerationLimitError,
     LineMismatchError,
     SimulationLimitError,
     TargetInteractionError,
@@ -93,7 +95,8 @@ def _roles(c: Circuit) -> dict:
 
 
 def _fmt_point(pt: dict[str, int]) -> str:
-    return ", ".join(f"{k}={v}" for k, v in sorted(pt.items()))
+    """``a=0, b=1``; the empty point binds no line and reads ``every input``."""
+    return ", ".join(f"{k}={v}" for k, v in sorted(pt.items())) or "every input"
 
 
 # -- subcommands: (args, *circuits) -> (verdict, structured fields, text) ----------
@@ -139,7 +142,7 @@ def _simulate(args, c):
     names = c.line_names
     if args.input is not None:
         if len(args.input) != len(names) or any(ch not in "01" for ch in args.input):
-            raise CnqError(f"--input wants {len(names)} bits in line order {'/'.join(names)}")
+            raise _UsageError(f"--input wants {len(names)} bits in line order {'/'.join(names)}")
         points = [dict(zip(names, map(int, args.input)))]
     elif len(names) <= SIMULATE_ENUM_LIMIT:
         points = list(iter_assignments(names))
@@ -217,33 +220,36 @@ class _Command(NamedTuple):
     handler: Callable
 
 
+# The guards, each given only to the commands that honour it.
+_GUARD_ENUM = {"--guard-enum": {"type": int, "default": DEFAULT_ENUM_GUARD, "metavar": "N",
+                                "help": "bound the witness search to N variables"}}
+_GUARD_SIM = {"--guard-sim": {"type": int, "default": DEFAULT_SIM_GUARD, "metavar": "N",
+                              "help": "refuse dense simulation above N lines"}}
+
 _COMMANDS = {
     "eval": _Command("symbolic per-line outcomes", ("circuit",), {}, _eval),
-    "verify": _Command("check spec lines", ("circuit",), {}, _verify),
+    "verify": _Command("check spec lines", ("circuit",), _GUARD_ENUM, _verify),
     "simulate": _Command(
         "dense statevector runs", ("circuit",),
-        {"--input": {"metavar": "BITS", "help": "one basis input, line order"}},
+        {"--input": {"metavar": "BITS", "help": "one basis input, line order"}, **_GUARD_SIM},
         _simulate,
     ),
-    "check": _Command("cross-check calculus vs simulation", ("circuit",), {}, _check),
+    "check": _Command("cross-check calculus vs simulation", ("circuit",), _GUARD_SIM, _check),
     "optimize": _Command("merge same-control gate groups", ("circuit",), {}, _optimize),
     "equiv": _Command("compare two circuits", ("left", "right"), {}, _equiv),
     "fuzz": _Command(
         "cross-check seeded random circuits", (),
         {"--seed": {"type": int, "default": 0},
-         "--count": {"type": int, "default": 200, "help": "circuits to check, at least 1"}},
+         "--count": {"type": int, "default": 200, "help": "circuits to check, at least 1"},
+         **_GUARD_SIM},
         _fuzz,
     ),
 }
 
-# Every subcommand takes these; README says where each guard acts.
+# Every subcommand takes these.
 _COMMON_OPTIONS = {
     "--format": {"choices": ("text", "structured"), "default": "text",
                  "help": "output style (default: text)"},
-    "--guard-enum": {"type": int, "default": DEFAULT_ENUM_GUARD, "metavar": "N",
-                     "help": "bound verify's witness search to N variables"},
-    "--guard-sim": {"type": int, "default": DEFAULT_SIM_GUARD, "metavar": "N",
-                    "help": "refuse dense simulation above N lines"},
 }
 
 
@@ -281,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     except TargetInteractionError as exc:
         print(f"error: {exc.describe()}", file=sys.stderr)
         return EXIT_INTERACTION
-    except (EnumerationLimitError, SimulationLimitError) as exc:
+    except SimulationLimitError as exc:
         print(f"error: {exc.describe()}", file=sys.stderr)
         return EXIT_GUARD
     except CnqError as exc:

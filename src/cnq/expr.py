@@ -435,7 +435,8 @@ class MlPoly:
 
 # -- shared expression parser ----------------------------------------------
 
-_EXPR_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|->|[()^&*+-])")
+# A token, or (second group) any other visible character, which is an error.
+_EXPR_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|\d+|->|[()^&*+-])|(\S)")
 
 
 class _ExprParser:
@@ -445,33 +446,27 @@ class _ExprParser:
              factor := '0' | '1' | var | '(' expr ')'
     MlPoly:  poly := ['-'] prod (('+'|'-') prod)* ; prod := atom ('*' atom)* ;
              atom := integer | var
+
+    Parses ``text[start:]``; every column is 1-based and counted in ``text``.
     """
 
-    def __init__(self, text: str, col_offset: int = 0):
+    def __init__(self, text: str, start: int = 0):
         self.text = text
-        self.col_offset = col_offset
+        self.start = start
         self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _EXPR_TOKEN.match(text, pos)
-            if not m:
-                if not text[pos:].strip():
-                    break
-                bad = text[pos:].lstrip()[0]
-                raise self._err(f"unexpected character {bad!r}", len(text) - len(text[pos:].lstrip()) + 1)
-            self.tokens.append((m.group(1), m.start(1) + 1))
-            pos = m.end()
+        for m in _EXPR_TOKEN.finditer(text, start):
+            tok, bad = m.groups()
+            if bad:
+                raise ParseError(f"unexpected character {bad!r}", col=m.start() + 1)
+            self.tokens.append((tok, m.start() + 1))
         self.i = 0
-
-    def _err(self, message: str, col: int) -> ParseError:
-        return ParseError(message, col=col + self.col_offset)
 
     def _peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
 
     def _next(self) -> tuple[str, int]:
         if self.i >= len(self.tokens):
-            raise self._err("unexpected end of expression", len(self.text) + 1)
+            raise ParseError("unexpected end of expression", col=len(self.text) + 1)
         tok = self.tokens[self.i]
         self.i += 1
         return tok
@@ -479,7 +474,7 @@ class _ExprParser:
     def _expect_end(self) -> None:
         if self.i < len(self.tokens):
             tok, col = self.tokens[self.i]
-            raise self._err(f"unexpected token {tok!r}", col)
+            raise ParseError(f"unexpected token {tok!r}", col=col)
 
     # Anf grammar
 
@@ -487,7 +482,7 @@ class _ExprParser:
         try:
             out = self._anf_expr()
         except RecursionError:
-            raise self._err("expression nested too deeply", 1) from None
+            raise ParseError("expression nested too deeply", col=self.start + 1) from None
         self._expect_end()
         return out
 
@@ -515,11 +510,11 @@ class _ExprParser:
             inner = self._anf_expr()
             closing, ccol = self._next()
             if closing != ")":
-                raise self._err(f"expected ')', got {closing!r}", ccol)
+                raise ParseError(f"expected ')', got {closing!r}", col=ccol)
             return inner
         if _VAR_RE.match(tok):
             return Anf.var(tok)
-        raise self._err(f"expected a variable, constant or '(', got {tok!r}", col)
+        raise ParseError(f"expected a variable, constant or '(', got {tok!r}", col=col)
 
     # MlPoly grammar
 
@@ -545,7 +540,7 @@ class _ExprParser:
             elif _VAR_RE.match(tok):
                 monomial.add(tok)
             else:
-                raise self._err(f"expected a variable or integer, got {tok!r}", col)
+                raise ParseError(f"expected a variable or integer, got {tok!r}", col=col)
             if self._peek() != "*":
                 return MlPoly({frozenset(monomial): coeff})
             self._next()

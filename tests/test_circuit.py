@@ -1,5 +1,7 @@
 """Circuit text format: parser, renderer, validation, gate census."""
 
+import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -18,7 +20,7 @@ from cnq import (
     ZeroPowerError,
 )
 
-from conftest import load
+from conftest import fixture_path, load
 
 FIGS = ["fig1", "fig2", "fig3", "fig4", "fig4_pre", "fig5", "fig6"]
 
@@ -99,15 +101,18 @@ def test_fixtures_round_trip(name):
         ("line a\nline t target\nv a t", ParseError, (3, 1)),
         ("line t target\nspec t", ParseError, (2, 1)),
         ("line a\nline t target\nspec a = a", ParseError, (3, 6)),
-        ("line t target\nspec t = t ^ q", UndeclaredLineError, (2, None)),
+        ("line t target\nspec t = t ^ q", UndeclaredLineError, (2, 14)),
         ("line t target\nspec t = t\nspec t = 0", ParseError, (3, 6)),
-        ("line t target\nspec t = t ^^ 1", ParseError, (2, None)),
+        ("line t target\nspec t = t ^^ 1", ParseError, (2, 13)),
         pytest.param(
             "line t target\nspec t = " + "(" * 3000 + "t" + ")" * 3000,
             ParseError,
-            (2, None),
+            (2, 9),
             id="spec-nested-3000-deep",
         ),
+        ("line a\nline t target\nspec t = t ^ (a & q)", UndeclaredLineError, (3, 19)),
+        # the name's problem comes before the malformed expression
+        ("line a\nspec a = (", ParseError, (2, 6)),
     ],
 )
 def test_parse_errors_carry_location(text, err, loc):
@@ -117,6 +122,37 @@ def test_parse_errors_carry_location(text, err, loc):
     assert e.value.line == line
     if col is not None:
         assert e.value.col == col
+
+
+_NAME_AT = re.compile(r"(?<![A-Za-z0-9_])[A-Za-z_][A-Za-z0-9_]*")
+
+
+def test_undeclared_lines_are_located_on_their_name():
+    """Seeded mutations of the fixtures: rename one identifier or swap two lines."""
+    rng = random.Random(9)
+    texts = [fixture_path(name).read_text().splitlines() for name in FIGS]
+    located = set()
+    for _ in range(3000):
+        rows = list(rng.choice(texts))
+        i = rng.randrange(len(rows))
+        names = list(_NAME_AT.finditer(rows[i]))
+        if names and rng.random() < 0.8:
+            m = rng.choice(names)
+            rows[i] = rows[i][: m.start()] + rng.choice(("z", "t", "a_1")) + rows[i][m.end() :]
+        else:
+            j = rng.randrange(len(rows))
+            rows[i], rows[j] = rows[j], rows[i]
+        try:
+            Circuit.parse("\n".join(rows))
+        except UndeclaredLineError as e:
+            name = e.message.split("'")[1]
+            row = rows[e.line - 1]
+            at = _NAME_AT.match(row, e.col - 1)
+            assert at and at.group() == name, (row, e.col, name)
+            located.add(row.split()[0])
+        except CnqError:
+            pass
+    assert located >= {"spec", "v", "cnot"}
 
 
 # -- gate constructor ------------------------------------------------------------

@@ -97,6 +97,23 @@ def test_fuzz_honours_the_simulation_guard(capsys):
     assert "E_TOO_MANY_LINES" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", FIG2, "--guard-sim", "3"),
+        ("optimize", FIG2, "--guard-enum", "3"),
+        ("equiv", FIG2, FIG2, "--guard-sim", "3"),
+        ("check", FIG2, "--guard-enum", "3"),
+        ("verify", FIG2, "--guard-sim", "3"),
+    ],
+)
+def test_a_guard_goes_only_to_the_commands_it_bounds(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
 def test_bad_subcommand_exits_two(capsys):
     # main traps argparse's SystemExit and forwards the code
     assert main(["frobnicate"]) == 2
@@ -136,7 +153,19 @@ def test_simulate_enumerates_small_circuits(capsys):
 def test_simulate_bad_input_bits(capsys):
     code, _, err = run(capsys, "simulate", FIG2, "--input", "12")
     assert code == 2
-    assert "4 bits" in err
+    assert err == "error: --input wants 4 bits in line order a/b/c/t\n"
+
+
+def test_a_witness_that_binds_no_line_reads_every_input(capsys, tmp_path):
+    # the exponent of t is the constant 1, so no input makes it Boolean
+    lone = tmp_path / "lone.cnq"
+    lone.write_text("line t target\nv -> t\nspec t = t\n")
+    code, out, _ = run(capsys, "verify", str(lone))
+    assert code == 1
+    assert "    non-Boolean at every input\n" in out
+    code, doc = run_json(capsys, "verify", str(lone))
+    assert code == 1
+    assert doc["specs"][0]["witness"] == {}
 
 
 def test_simulate_large_circuit_needs_input(capsys, tmp_path):
