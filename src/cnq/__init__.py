@@ -5,10 +5,17 @@ subcircuits whose gates apply Q^p under Boolean controls, where Q^k = NOT
 and k is a power of two.  Instead of complex matrices it tracks, per
 line, a Boolean base plus an integer exponent polynomial mod 2k; a dense
 statevector oracle provides an independent numeric check.
+
+The oracle, and numpy with it, loads on first use of one of its names
+(``cnq.cross_check``, ``cnq.simulate``, ...), so symbolic work never pays
+for it.
 """
+
+import importlib
 
 from .circuit import Circuit, Gate, Line
 from .errors import (
+    DEFAULT_SIM_GUARD,
     BadRootError,
     CnqError,
     EnumerationLimitError,
@@ -32,16 +39,6 @@ from .expr import (
 )
 from .fuzz import random_circuit, random_valid_circuit, self_test
 from .optimize import Change, MergeResult, merge_pass
-from .oracle import (
-    CROSS_CHECK_ATOL,
-    DEFAULT_SIM_GUARD,
-    CrossCheckResult,
-    StateVector,
-    apply_gate,
-    cross_check,
-    q_matrix,
-    simulate,
-)
 from .symbolic import (
     EquivVerdict,
     EvalReport,
@@ -55,6 +52,32 @@ from .symbolic import (
 )
 
 __version__ = "0.1.0"
+
+# Names of ``oracle`` that ``__getattr__`` resolves on first access, as it
+# does ``cnq.oracle`` itself.
+_ORACLE_NAMES = (
+    "CROSS_CHECK_ATOL",
+    "CrossCheckResult",
+    "StateVector",
+    "apply_gate",
+    "cross_check",
+    "q_matrix",
+    "simulate",
+)
+
+
+def __getattr__(name: str):
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    oracle = importlib.import_module(".oracle", __name__)
+    # cache every name, so later lookups are plain global reads
+    globals().update({n: getattr(oracle, n) for n in _ORACLE_NAMES})
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})
+
 
 __all__ = [
     "Anf",

@@ -23,6 +23,9 @@ prints either the text or the fields laid over the common document.  If
 the reader closes the pipe early, the rest of the output is dropped
 without a traceback and the exit code is unchanged.
 
+Only ``simulate``, ``check`` and ``fuzz`` import the numpy oracle, inside
+their handlers; the other commands never load numpy.
+
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or parse error,
 3 control taken from a non-Boolean line, 4 simulation guard exceeded.
 ``--format structured`` emits a single JSON document with ``command``,
@@ -41,6 +44,7 @@ from typing import NamedTuple
 
 from .circuit import Circuit
 from .errors import (
+    DEFAULT_SIM_GUARD,
     CnqError,
     LineMismatchError,
     SimulationLimitError,
@@ -48,7 +52,6 @@ from .errors import (
 )
 from .expr import DEFAULT_ENUM_GUARD, display_anf, iter_assignments
 from .optimize import merge_pass
-from .oracle import DEFAULT_SIM_GUARD, cross_check, simulate
 from .symbolic import check_spec, equivalent, evaluate
 from .fuzz import self_test
 
@@ -150,6 +153,8 @@ def _simulate(args, c):
         raise _UsageError(
             f"{len(names)} lines; pass --input <bits> above {SIMULATE_ENUM_LIMIT} lines"
         )
+    from .oracle import simulate
+
     runs = [("".join(str(pt[n]) for n in names), simulate(c, pt, guard=args.guard_sim))
             for pt in points]
     text = []
@@ -166,6 +171,8 @@ def _simulate(args, c):
 
 def _check(args, c):
     report = evaluate(c)
+    from .oracle import cross_check     # after evaluate: a rejected circuit loads no numpy
+
     res = cross_check(c, report, guard=args.guard_sim)
     fields = {"lines": report.to_dict()["lines"], "cross_check": res.to_dict()}
     if res.passed:

@@ -84,6 +84,11 @@ class EnumerationLimitError(CnqError):
     code = "E_TOO_MANY_VARS"
 
 
+# Dense simulation is refused beyond this many lines.  It lives here, not in
+# ``oracle``, so that the CLI can offer it as a default without loading numpy.
+DEFAULT_SIM_GUARD = 12
+
+
 class SimulationLimitError(CnqError):
     """Too many lines for dense statevector simulation."""
 

@@ -6,8 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, Line
-from .errors import TargetInteractionError
-from .oracle import DEFAULT_SIM_GUARD, cross_check
+from .errors import DEFAULT_SIM_GUARD, TargetInteractionError
 from .symbolic import EvalReport, evaluate
 
 ROOTS = (1, 2, 4, 8)
@@ -69,6 +68,8 @@ def self_test(
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    from .oracle import cross_check     # loads numpy; kept off ``import cnq``
+
     rng = random.Random(seed)
     failures = []
     for i in range(count):

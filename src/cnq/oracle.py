@@ -25,6 +25,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate
 from .errors import (
+    DEFAULT_SIM_GUARD,
     BadRootError,
     LineMismatchError,
     SimulationLimitError,
@@ -33,9 +34,6 @@ from .errors import (
 )
 from .expr import Assignment, MlPoly, point_bit
 from .symbolic import EvalReport, TargetState
-
-# Simulation is refused beyond this many lines.
-DEFAULT_SIM_GUARD = 12
 
 CROSS_CHECK_ATOL = 1e-9
 
