@@ -83,8 +83,9 @@ class Gate:
     ) -> "Gate":
         """Checked constructor: enforces the gate shape rule and canonicalizes p."""
         ctrls = tuple(controls)
-        for _, err in _gate_shape(k, p, ctrls, target):
-            raise err
+        if not (_distinct(ctrls, target) and _root_ok(k, p)):
+            for _, err in _gate_shape(k, p, ctrls, target):
+                raise err
         return cls(k, p % (2 * k), ctrls, target)
 
     @property
@@ -223,6 +224,26 @@ def _gate_rules(
     yield from _gate_shape(k, p, controls, target)
 
 
+# Quick tests that the gate rules have nothing to report.  Almost every gate
+# passes them; the rules run, to name the problem, only when one fails.
+
+
+def _distinct(controls: tuple[str, ...], target: str) -> bool:
+    """No control repeats and the target is no control."""
+    return len({*controls, target}) == len(controls) + 1
+
+
+def _lines_ok(controls: tuple[str, ...], target: str, declared: set[str]) -> bool:
+    """Distinct names, all declared: no rule has a line to report."""
+    names = {*controls, target}
+    return len(names) == len(controls) + 1 and names <= declared
+
+
+def _root_ok(k: int, p: int) -> bool:
+    """A root index within the limit and a power other than the identity."""
+    return _is_power_of_two(k) and k <= MAX_ROOT and p % (2 * k) != 0
+
+
 def _spec_rule(
     name: str, expr: Anf, declared: set[str], targets: set[str]
 ) -> Iterator[_Problem]:
@@ -327,7 +348,8 @@ def _parse_circuit(text: str) -> Circuit:
                 if not fewest <= len(args) <= (most or len(args)):
                     raise ParseError(f"malformed {head} statement", col=hcol)
                 ctrls, target = tuple(c for c, _ in args[:-1]), args[-1][0]
-                _raise_first(_gate_rules(1, 1, ctrls, target, declared), args)
+                if not _lines_ok(ctrls, target, declared):
+                    _raise_first(_gate_rules(1, 1, ctrls, target, declared), args)
                 gates.append(Gate(1, 1, ctrls, target))
 
             elif head in _SUGAR or head == "q":
@@ -351,8 +373,9 @@ def _parse_circuit(text: str) -> Circuit:
                 ctrls, target = tuple(c for c, _ in params), toks[-1][0]
                 # only a q statement can have a bad root or a zero power; they are
                 # reported at its k= and p= tokens
-                located = (("k=", toks[1][1]), ("p=", toks[2][1]), *params, toks[-1])
-                _raise_first(_gate_rules(k, p, ctrls, target, declared), located)
+                if not (_lines_ok(ctrls, target, declared) and (head != "q" or _root_ok(k, p))):
+                    located = (("k=", toks[1][1]), ("p=", toks[2][1]), *params, toks[-1])
+                    _raise_first(_gate_rules(k, p, ctrls, target, declared), located)
                 gates.append(Gate(k, p % (2 * k), ctrls, target))
 
             else:

@@ -22,8 +22,10 @@ attempts a collapse and raises ``E_TARGET_INTERACTION`` if none exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable
+from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
+from functools import lru_cache
+from types import MappingProxyType
 
 from .circuit import Circuit
 from .errors import LineMismatchError, TargetInteractionError
@@ -100,7 +102,7 @@ class TargetState:
         return f"root k={self.k_root}, exponent {self.exponent}, base {self.base}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineOutcome:
     """Final value of one line: a Boolean form and/or the exponent state.
 
@@ -123,7 +125,7 @@ class LineOutcome:
         return "pure" if self.state is None else "collapsed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateRecord:
     """Trace entry: how one gate entered the evaluation."""
 
@@ -134,13 +136,22 @@ class GateRecord:
     episode: int | None       # per-line taint episode ordinal when absorbed
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
-    """One evaluation of ``circuit``: line outcomes plus a trace record per gate."""
+    """One evaluation of ``circuit``: line outcomes plus a trace record per gate.
+
+    A report is immutable, so ``evaluate`` may hand the same one to every
+    caller: ``outcomes`` is a read-only copy of the mapping it is given and
+    ``trace`` a tuple.
+    """
 
     circuit: Circuit
-    outcomes: dict[str, LineOutcome]
-    trace: list[GateRecord] = field(default_factory=list)
+    outcomes: Mapping[str, LineOutcome]
+    trace: tuple[GateRecord, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "outcomes", MappingProxyType(dict(self.outcomes)))
+        object.__setattr__(self, "trace", tuple(self.trace))
 
     @property
     def warnings(self) -> list[str]:
@@ -182,8 +193,30 @@ class EvalReport:
         return "\n".join(out)
 
 
+# Every pipeline has at most two circuits in flight, an input and its rewrite,
+# so two entries let merge_pass and check_spec share their evaluations.
+_EVAL_MEMO_SIZE = 2
+
+
 def evaluate(circuit: Circuit) -> EvalReport:
-    """Run the circuit symbolically, tracing every gate; raises on non-Boolean control use."""
+    """Run the circuit symbolically, tracing every gate; raises on non-Boolean control use.
+
+    The reports of the last two circuits evaluated are remembered: an equal
+    circuit, specs included, gets the same report again.  A failed
+    evaluation is not remembered.  A circuit built with list fields is
+    unhashable and is evaluated afresh each time.
+    """
+    try:
+        return _evaluate_memo(circuit)
+    except TypeError:
+        try:
+            hash(circuit)
+        except TypeError:       # list fields: no memo
+            return _evaluate(circuit)
+        raise                   # raised by the evaluation itself
+
+
+def _evaluate(circuit: Circuit) -> EvalReport:
     states: dict[str, Anf | TargetState] = {
         ln.name: Anf.var(ln.name) for ln in circuit.lines
     }
@@ -227,6 +260,9 @@ def evaluate(circuit: Circuit) -> EvalReport:
             value = value.collapse()
         outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, value, last_state.get(ln.name))
     return EvalReport(circuit, outcomes, trace)
+
+
+_evaluate_memo = lru_cache(maxsize=_EVAL_MEMO_SIZE)(_evaluate)
 
 
 @dataclass

@@ -20,6 +20,16 @@ from cnq import (
     ZeroPowerError,
 )
 
+from cnq.circuit import (
+    MAX_ROOT,
+    _distinct,
+    _gate_rules,
+    _gate_scope,
+    _gate_shape,
+    _lines_ok,
+    _root_ok,
+)
+
 from conftest import fixture_path, load
 
 FIGS = ["fig1", "fig2", "fig3", "fig4", "fig4_pre", "fig5", "fig6"]
@@ -296,6 +306,30 @@ def test_parser_and_validate_share_one_rulebook(c):
     if not problems:
         canonical = tuple(Gate(g.k, g.p % (2 * g.k), g.controls, g.target) for g in c.gates)
         assert parsed == replace(c, gates=canonical)
+
+
+_NAMES = st.sampled_from("abcd")
+
+
+@given(
+    st.one_of(st.integers(-2, 9), st.sampled_from((MAX_ROOT, 2 * MAX_ROOT))),
+    st.integers(-20, 20),
+    st.lists(_NAMES, max_size=4).map(tuple),
+    _NAMES,
+    st.sets(_NAMES),
+)
+def test_quick_rule_tests_pass_only_when_the_rules_report_nothing(k, p, controls, target, declared):
+    # the parser and Gate.make run the rules only when a quick test fails
+    assert _lines_ok(controls, target, declared) == (
+        not any(_gate_scope(controls, target, declared))
+        and not any(_gate_shape(1, 1, controls, target))
+    )
+    assert (_lines_ok(controls, target, declared) and _root_ok(k, p)) == (
+        not any(_gate_rules(k, p, controls, target, declared))
+    )
+    assert (_distinct(controls, target) and _root_ok(k, p)) == (
+        not any(_gate_shape(k, p, controls, target))
+    )
 
 
 # -- gate census ---------------------------------------------------------------------

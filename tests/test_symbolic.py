@@ -1,5 +1,8 @@
 """Symbolic evaluation: exponent states, collapse, spec checking, equivalence."""
 
+import random
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 from cnq import (
     Anf,
     Circuit,
+    Gate,
+    Line,
     LineMismatchError,
     MlPoly,
     TargetInteractionError,
@@ -15,7 +20,9 @@ from cnq import (
     equivalent,
     evaluate,
     iter_assignments,
+    random_valid_circuit,
 )
+from cnq.symbolic import _evaluate
 
 from conftest import load
 
@@ -425,3 +432,76 @@ def test_check_spec_without_specs_raises_before_evaluation(monkeypatch):
 def test_every_evaluation_records_its_trace(fig2):
     report = evaluate(fig2)
     assert [rec.index for rec in report.trace] == list(range(len(fig2.gates)))
+
+
+# -- the evaluation memo -------------------------------------------------------------
+
+
+def test_an_equal_circuit_gets_the_same_report(fig2):
+    report = evaluate(fig2)
+    assert evaluate(fig2) is report
+    assert evaluate(Circuit.parse(str(fig2))) is report
+
+
+def test_a_circuit_with_other_specs_gets_its_own_report(fig2):
+    other = replace(fig2, specs={"t": Anf.var("t")})
+    mine, theirs = evaluate(fig2), evaluate(other)
+    assert mine is not theirs
+    assert mine.circuit.specs == fig2.specs
+    assert theirs.circuit.specs == other.specs
+    assert [v.passed for v in check_spec(fig2)] == [True]
+    assert [v.passed for v in check_spec(other)] == [False]
+
+
+def test_a_failed_evaluation_raises_again():
+    c = load("interaction")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(TargetInteractionError) as err:
+            evaluate(c)
+        errors.append(err.value)
+    assert [(e.code, e.gate_index) for e in errors] == [("E_TARGET_INTERACTION", 1)] * 2
+    assert errors[0] is not errors[1]
+
+
+def test_a_shared_report_cannot_be_written(fig2):
+    report = evaluate(fig2)
+    with pytest.raises(TypeError):
+        report.outcomes["t"] = report.outcomes["a"]
+    with pytest.raises(TypeError):
+        report.trace[0] = report.trace[1]
+    with pytest.raises(FrozenInstanceError):
+        report.trace = ()
+    with pytest.raises(FrozenInstanceError):
+        report.outcomes["t"].value = Anf.one()
+    with pytest.raises(FrozenInstanceError):
+        report.trace[0].absorbed = False
+    # a replaced report is read-only too, and leaves the original alone
+    changed = replace(report, outcomes={**report.outcomes, "t": report.outcomes["a"]})
+    with pytest.raises(TypeError):
+        changed.outcomes["t"] = report.outcomes["t"]
+    assert evaluate(fig2).outcomes["t"].name == "t"
+
+
+def test_a_circuit_with_list_fields_is_evaluated_afresh():
+    lines, gates = [Line("a"), Line("t", True)], [Gate(2, 1, ["a"], "t"), Gate(2, 1, ["a"], "t")]
+    c = Circuit(lines, gates)
+    report = evaluate(c)
+    assert report.circuit is c
+    assert report.outcomes["t"].value == Anf.parse("t ^ a")
+    assert evaluate(c) is not report
+    hashable = Circuit(tuple(lines), tuple(Gate(g.k, g.p, tuple(g.controls), g.target) for g in gates))
+    assert report.to_dict() == evaluate(hashable).to_dict()
+
+
+@given(st.integers(0, 2**32), st.lists(st.integers(0, 2**32), min_size=2, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_an_evicted_report_still_matches_a_fresh_evaluation(seed, others):
+    c = random_valid_circuit(random.Random(seed))
+    report = evaluate(c)
+    for other in others:
+        evaluate(random_valid_circuit(random.Random(other)))
+    fresh = _evaluate(c)
+    assert report.to_dict() == fresh.to_dict()
+    assert report.trace == fresh.trace
+    assert evaluate(c).to_dict() == fresh.to_dict()
