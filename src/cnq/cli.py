@@ -115,7 +115,7 @@ def _verify(args, c):
     if not c.specs:
         raise _UsageError("circuit has no spec lines to verify")
     report = evaluate(c)
-    verdicts = check_spec(report, guard=args.guard_enum)
+    verdicts = check_spec(c, guard=args.guard_enum)
     ok = all(v.passed for v in verdicts)
     text = []
     for v in verdicts:

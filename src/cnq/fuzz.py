@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, Line
 from .errors import DEFAULT_SIM_GUARD, TargetInteractionError
-from .symbolic import EvalReport, evaluate
+from .symbolic import evaluate
 
 ROOTS = (1, 2, 4, 8)
 
@@ -33,19 +33,20 @@ def random_circuit(
     return Circuit(lines, tuple(gates))
 
 
-def _draw(rng: random.Random, **kwargs) -> EvalReport:
-    """The evaluation of the first ``random_circuit`` whose controls stay Boolean."""
+def random_valid_circuit(rng: random.Random, **kwargs) -> Circuit:
+    """The first ``random_circuit`` whose controls stay Boolean throughout.
+
+    Its evaluation is remembered by ``evaluate``, so asking for it again
+    right away costs no second evaluation.
+    """
     for _ in range(1000):
+        candidate = random_circuit(rng, **kwargs)
         try:
-            return evaluate(random_circuit(rng, **kwargs))
+            evaluate(candidate)
         except TargetInteractionError:
             continue
+        return candidate
     raise RuntimeError("could not draw an evaluable random circuit")
-
-
-def random_valid_circuit(rng: random.Random, **kwargs) -> Circuit:
-    """A random circuit whose controls stay Boolean throughout."""
-    return _draw(rng, **kwargs).circuit
 
 
 @dataclass
@@ -73,10 +74,8 @@ def self_test(
     rng = random.Random(seed)
     failures = []
     for i in range(count):
-        report = _draw(rng, **kwargs)
-        res = cross_check(report.circuit, report, guard=guard)
+        circuit = random_valid_circuit(rng, **kwargs)
+        res = cross_check(circuit, evaluate(circuit), guard=guard)
         if not res.passed:
-            failures.append(
-                f"circuit {i}: witness {res.witness}, {res.detail}\n{report.circuit}"
-            )
+            failures.append(f"circuit {i}: witness {res.witness}, {res.detail}\n{circuit}")
     return SelfTestResult(count, failures)

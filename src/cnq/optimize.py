@@ -77,15 +77,13 @@ class MergeResult:
 def merge_pass(circuit: Circuit) -> MergeResult:
     """One sound merging sweep; never increases the gate count.
 
-    A rewritten circuit is proved equivalent to the input, from the one
-    evaluation of the input that found the groups, before it is returned.
+    A rewritten circuit is proved equivalent to the input before it is
+    returned; the proof reuses the remembered evaluation that found the groups.
     """
-    report = evaluate(circuit)
-
     # per-episode root: the maximum k absorbed during that stretch
     episode_k: dict[tuple[str, int], int] = {}
     groups: dict[tuple[str, int, Anf], list[GateRecord]] = {}
-    for rec in report.trace:
+    for rec in evaluate(circuit).trace:
         if not rec.absorbed:
             continue
         key = (rec.target, rec.episode)
@@ -118,7 +116,7 @@ def merge_pass(circuit: Circuit) -> MergeResult:
     merged = circuit.with_gates(g for g in kept if g is not None)
 
     if changes:
-        check = equivalent(report, merged)
+        check = equivalent(circuit, merged)
         if not check.passed:
             raise AssertionError(
                 f"merge produced a non-equivalent circuit: {check.details}"

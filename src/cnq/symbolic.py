@@ -138,14 +138,13 @@ class GateRecord:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One evaluation of ``circuit``: line outcomes plus a trace record per gate.
+    """One evaluation of a circuit: line outcomes plus a trace record per gate.
 
     A report is immutable, so ``evaluate`` may hand the same one to every
     caller: ``outcomes`` is a read-only copy of the mapping it is given and
     ``trace`` a tuple.
     """
 
-    circuit: Circuit
     outcomes: Mapping[str, LineOutcome]
     trace: tuple[GateRecord, ...] = ()
 
@@ -193,18 +192,20 @@ class EvalReport:
         return "\n".join(out)
 
 
-# Every pipeline has at most two circuits in flight, an input and its rewrite,
-# so two entries let merge_pass and check_spec share their evaluations.
+# The memo is the one way a second question about a circuit reuses its
+# evaluation.  Every pipeline has at most two circuits in flight, an input and
+# its rewrite, so two entries let check_spec, merge_pass and its proof share them.
 _EVAL_MEMO_SIZE = 2
 
 
 def evaluate(circuit: Circuit) -> EvalReport:
     """Run the circuit symbolically, tracing every gate; raises on non-Boolean control use.
 
-    The reports of the last two circuits evaluated are remembered: an equal
-    circuit, specs included, gets the same report again.  A failed
-    evaluation is not remembered.  A circuit built with list fields is
-    unhashable and is evaluated afresh each time.
+    The reports of the last two circuits evaluated are remembered, and this
+    is how ``check_spec``, ``equivalent`` and ``merge_pass`` reuse an
+    evaluation: an equal circuit, specs included, gets the same report
+    again.  A failed evaluation is not remembered.  A circuit built with
+    list fields is unhashable and is evaluated afresh each time.
     """
     try:
         return _evaluate_memo(circuit)
@@ -259,7 +260,7 @@ def _evaluate(circuit: Circuit) -> EvalReport:
             last_state[ln.name] = value
             value = value.collapse()
         outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, value, last_state.get(ln.name))
-    return EvalReport(circuit, outcomes, trace)
+    return EvalReport(outcomes, trace)
 
 
 _evaluate_memo = lru_cache(maxsize=_EVAL_MEMO_SIZE)(_evaluate)
@@ -286,30 +287,17 @@ class SpecVerdict:
         }
 
 
-def _circuit(subject: Circuit | EvalReport) -> Circuit:
-    return subject.circuit if isinstance(subject, EvalReport) else subject
-
-
-def _report(subject: Circuit | EvalReport) -> EvalReport:
-    """The evaluation of ``subject``: reused if it is a report, made if it is a circuit."""
-    return subject if isinstance(subject, EvalReport) else evaluate(subject)
-
-
-def check_spec(
-    subject: Circuit | EvalReport, *, guard: int = DEFAULT_ENUM_GUARD
-) -> list[SpecVerdict]:
+def check_spec(circuit: Circuit, *, guard: int = DEFAULT_ENUM_GUARD) -> list[SpecVerdict]:
     """Compare every spec line against the evaluated output of its line.
 
-    Pass an :class:`EvalReport` instead of a circuit to reuse an evaluation
-    already made.  Equality is canonical-form equality of Anfs.  On failure
-    the verdict carries the first assignment (counting order over the
-    sorted variable union) where the two functions differ, provided the
-    variable count stays within ``guard``.
+    Equality is canonical-form equality of Anfs.  On failure the verdict
+    carries the first assignment (counting order over the sorted variable
+    union) where the two functions differ, provided the variable count
+    stays within ``guard``.
     """
-    circuit = _circuit(subject)
     if not circuit.specs:
         raise ValueError("circuit has no spec lines to check")
-    report = _report(subject)
+    report = evaluate(circuit)
     verdicts = []
     for name in circuit.line_names:
         if name not in circuit.specs:
@@ -357,25 +345,23 @@ class EquivVerdict:
     details: dict[str, str]     # line name -> "match" or a mismatch description
 
 
-def equivalent(left: Circuit | EvalReport, right: Circuit | EvalReport) -> EquivVerdict:
+def equivalent(c1: Circuit, c2: Circuit) -> EquivVerdict:
     """Do both circuits compute the same value on every line?
 
-    Either side may be an :class:`EvalReport`, whose evaluation is reused;
-    line roles are compared before anything is evaluated.  Boolean outputs
+    Line roles are compared before anything is evaluated.  Boolean outputs
     compare as Anfs.  Two residual states compare by normalized exponent
     after rebasing to the larger root; coefficientwise equality mod 2K
     decides pointwise equality because only the zero polynomial vanishes
     everywhere mod 2K.  A residual never equals a Boolean form (some input
     leaves it strictly between basis states).
     """
-    c1, c2 = _circuit(left), _circuit(right)
     roles1 = {ln.name: ln.is_target for ln in c1.lines}
     roles2 = {ln.name: ln.is_target for ln in c2.lines}
     if roles1 != roles2:
         raise LineMismatchError(
             f"circuits do not share lines/roles: {sorted(roles1)} vs {sorted(roles2)}"
         )
-    r1, r2 = _report(left), _report(right)
+    r1, r2 = evaluate(c1), evaluate(c2)
     details: dict[str, str] = {}
     for name in c1.line_names:
         o1, o2 = r1.outcomes[name], r2.outcomes[name]

@@ -23,3 +23,15 @@ def fig2() -> Circuit:
 @pytest.fixture
 def fig6() -> Circuit:
     return load("fig6")
+
+
+@pytest.fixture
+def memo_info():
+    """Clear ``evaluate``'s memo and return its ``cache_info``.
+
+    Its misses count the evaluations made since; its hits the reports reused.
+    """
+    from cnq.symbolic import _evaluate_memo
+
+    _evaluate_memo.cache_clear()
+    return _evaluate_memo.cache_info

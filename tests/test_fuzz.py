@@ -44,21 +44,18 @@ def test_self_test_refuses_to_check_no_circuits(count):
         self_test(0, count)
 
 
-def test_self_test_evaluates_each_draw_once(monkeypatch):
+def test_self_test_evaluates_each_draw_once(monkeypatch, memo_info):
     import cnq.fuzz
 
-    draws, evaluations = [], []
-    real_draw, real_evaluate = cnq.fuzz.random_circuit, cnq.fuzz.evaluate
+    draws = []
+    real_draw = cnq.fuzz.random_circuit
 
     def draw(*args, **kwargs):
         draws.append(1)
         return real_draw(*args, **kwargs)
 
-    def counted(circuit):
-        evaluations.append(circuit)
-        return real_evaluate(circuit)
-
     monkeypatch.setattr(cnq.fuzz, "random_circuit", draw)
-    monkeypatch.setattr(cnq.fuzz, "evaluate", counted)
     assert self_test(seed=0, count=10).passed
-    assert len(evaluations) == len(draws) >= 10
+    # each draw once, failed ones included; each accepted one reused by cross_check
+    info = memo_info()
+    assert (info.hits, info.misses) == (10, len(draws))

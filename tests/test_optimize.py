@@ -1,6 +1,7 @@
 """Merge-pass optimizer: cancellations, promotions, fixed points, soundness."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from cnq import (
     Gate,
     check_spec,
     equivalent,
+    evaluate,
     merge_pass,
     random_valid_circuit,
 )
@@ -167,19 +169,29 @@ def test_merge_sound_on_random_circuits(seed):
 # -- one evaluation of the input ------------------------------------------------------
 
 
-def test_merge_pass_evaluates_its_input_once(fig2, monkeypatch):
-    import cnq.optimize
-    import cnq.symbolic
+def test_merge_pass_evaluates_its_input_once(fig2, memo_info):
+    assert merge_pass(fig2).changes
+    # the input once for its groups and, remembered, for the proof; the rewrite once
+    info = memo_info()
+    assert (info.hits, info.misses) == (1, 2)
 
-    calls = []
-    real = cnq.symbolic.evaluate
 
-    def counted(circuit):
-        calls.append(circuit)
-        return real(circuit)
-
-    monkeypatch.setattr(cnq.symbolic, "evaluate", counted)
-    monkeypatch.setattr(cnq.optimize, "evaluate", counted)
-    result = merge_pass(fig2)
-    # the input once for its groups and for the proof, the rewrite once for the proof
-    assert calls == [fig2, result.circuit]
+@pytest.mark.parametrize("source", ["fig2", "random"])
+def test_spec_merge_spec_evaluates_each_circuit_once(source, memo_info):
+    # the benchmark's xor_cascades job: check the input, merge it, check the rewrite
+    if source == "fig2":
+        c = load("fig2")
+    else:
+        c = random_valid_circuit(random.Random(1))
+        outcomes = evaluate(c).outcomes.values()
+        c = replace(c, specs={oc.name: oc.value for oc in outcomes if oc.value is not None})
+    # five lookups a run: the first evaluates the input and its rewrite once
+    # each; both stay remembered, so the second evaluates nothing
+    for expected in [(3, 2), (5, 0)]:
+        start = memo_info()
+        assert all(v.passed for v in check_spec(c))
+        merged = merge_pass(c)
+        assert merged.changes
+        assert all(v.passed for v in check_spec(merged.circuit))
+        info = memo_info()
+        assert (info.hits - start.hits, info.misses - start.misses) == expected
