@@ -28,7 +28,7 @@ identity.  Control expressions in ``spec`` use the Anf grammar
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import (
     BadRootError,
@@ -81,12 +81,18 @@ class Gate:
         controls: Iterable[str],
         target: str,
     ) -> "Gate":
-        """Checked constructor: enforces the gate shape rule and canonicalizes p."""
+        """Checked constructor: raises the first gate problem and canonicalizes p.
+
+        There is no line table here, so names are not checked for scope.
+        """
         ctrls = tuple(controls)
-        if not (_distinct(ctrls, target) and _root_ok(k, p)):
-            for _, err in _gate_shape(k, p, ctrls, target):
-                raise err
+        for _, err in _gate_problems(k, p, ctrls, target, None):
+            raise err
         return cls(k, p % (2 * k), ctrls, target)
+
+    def __post_init__(self) -> None:
+        if type(self.controls) is not tuple:
+            object.__setattr__(self, "controls", tuple(self.controls))
 
     @property
     def is_not_family(self) -> bool:
@@ -114,6 +120,11 @@ class Circuit:
     # equal circuits still hash equal: __eq__ compares specs, __hash__ skips them
     specs: Mapping[str, Anf] = field(default_factory=dict, hash=False)
 
+    def __post_init__(self) -> None:
+        # tuple fields make every circuit hashable, so evaluate can remember it
+        object.__setattr__(self, "lines", tuple(self.lines))
+        object.__setattr__(self, "gates", tuple(self.gates))
+
     # -- access helpers ------------------------------------------------------
 
     @property
@@ -130,7 +141,7 @@ class Circuit:
         return tuple(ln.name for ln in self.lines if ln.is_target)
 
     def with_gates(self, gates: Iterable[Gate]) -> "Circuit":
-        return replace(self, gates=tuple(gates))
+        return replace(self, gates=gates)
 
     # -- text format ----------------------------------------------------------
 
@@ -153,18 +164,18 @@ class Circuit:
 
     def validate(self) -> list[CnqError]:
         """Every well-formedness problem; a gate's problems carry its ``gate_index``."""
-        problems = [err for _, err in _circuit_rule(self.lines)]
+        problems = [err for _, err in _circuit_problems(self.lines)]
         declared: set[str] = set()
         for ln in self.lines:
-            problems += (err for _, err in _line_rule(ln.name, declared))
+            problems += (err for _, err in _line_problems(ln.name, declared))
             declared.add(ln.name)
         for i, g in enumerate(self.gates):
-            for _, err in _gate_rules(g.k, g.p, g.controls, g.target, declared):
+            for _, err in _gate_problems(g.k, g.p, g.controls, g.target, declared):
                 err.gate_index = i
                 problems.append(err)
         targets = set(self.target_names())
         for name, expr in self.specs.items():
-            problems += (err for _, err in _spec_rule(name, expr, declared, targets))
+            problems += (err for _, err in _spec_problems(name, expr, declared, targets))
         return problems
 
     def gate_count(self) -> dict[str, int]:
@@ -173,91 +184,81 @@ class Circuit:
 
 # -- well-formedness rules ----------------------------------------------------
 #
-# Each rule yields (offending name or None, error) for one item, checked
-# against the line names declared so far.  The parser raises the first
-# problem of each statement and locates it on the offending name's token
-# (a bad root's name is "k=" and a zero power's "p=", its ``q`` tokens);
-# Circuit.validate collects every problem of the whole circuit.
+# Each rule is one function that lists the problems of one item as
+# (offending name or None, error) pairs, checked against the line names
+# declared so far; the list is empty in the usual case.  All three drivers
+# read the same lists: the parser raises the first problem of each statement
+# at the column of the offending name's token (a bad root's name is "k=" and
+# a zero power's "p=", its ``q`` tokens), Gate.make raises the first problem
+# of a gate, and Circuit.validate collects every problem of the circuit.
 
 _Problem = tuple[str | None, CnqError]
 
 
-def _circuit_rule(lines: Sequence[Line]) -> Iterator[_Problem]:
-    if not lines:
-        yield None, ParseError("circuit declares no lines")
+def _circuit_problems(lines: Sequence[Line]) -> list[_Problem]:
+    return [] if lines else [(None, ParseError("circuit declares no lines"))]
 
 
-def _line_rule(name: str, declared: set[str]) -> Iterator[_Problem]:
+def _line_problems(name: str, declared: set[str]) -> list[_Problem]:
     if not _VAR_RE.match(name):
-        yield name, ParseError(f"invalid line name {name!r}")
-    elif name in declared:
-        yield name, ParseError(f"line {name!r} already declared")
+        return [(name, ParseError(f"invalid line name {name!r}"))]
+    if name in declared:
+        return [(name, ParseError(f"line {name!r} already declared"))]
+    return []
 
 
-def _gate_scope(
-    controls: tuple[str, ...], target: str, declared: set[str]
-) -> Iterator[_Problem]:
-    for name in (*controls, target):
-        if name not in declared:
-            yield name, UndeclaredLineError(f"line {name!r} used before declaration")
+def _gate_problems(
+    k: int, p: int, controls: tuple[str, ...], target: str, declared: set[str] | None
+) -> list[_Problem]:
+    """Scope before shape: every undeclared name, then a bad root or a zero
+    power, then a duplicate control, then self-control.
 
-
-def _gate_shape(k: int, p: int, controls: tuple[str, ...], target: str) -> Iterator[_Problem]:
+    ``declared=None`` skips the scope check.  The usual gate, with distinct
+    declared names, is passed on one set before any name is looked for.
+    """
+    names = {*controls, target}
+    distinct = len(names) == len(controls) + 1
+    in_scope = declared is None or names <= declared
+    if distinct and in_scope and _is_power_of_two(k) and k <= MAX_ROOT and p % (2 * k):
+        return []
+    problems: list[_Problem] = [
+        (name, UndeclaredLineError(f"line {name!r} used before declaration"))
+        for name in (*controls, target)
+        if not in_scope and name not in declared
+    ]
     if not _is_power_of_two(k):
-        yield "k=", BadRootError(f"root index must be a positive power of two, got {k}")
+        err = BadRootError(f"root index must be a positive power of two, got {k}")
+        problems.append(("k=", err))
     elif k > MAX_ROOT:
-        yield "k=", BadRootError(f"root index {k} exceeds the limit 2^20 = {MAX_ROOT}")
+        problems.append(("k=", BadRootError(f"root index {k} exceeds the limit 2^20 = {MAX_ROOT}")))
     elif p % (2 * k) == 0:
-        yield "p=", ZeroPowerError(f"power {p} is 0 mod {2 * k}: the identity gate")
+        problems.append(("p=", ZeroPowerError(f"power {p} is 0 mod {2 * k}: the identity gate")))
     repeated = next((c for i, c in enumerate(controls) if c in controls[:i]), None)
     if repeated is not None:
-        yield repeated, ParseError(f"duplicate control on gate targeting {target!r}")
+        problems.append((repeated, ParseError(f"duplicate control on gate targeting {target!r}")))
     if target in controls:
-        yield target, SelfControlError(f"line {target!r} controls its own gate")
+        problems.append((target, SelfControlError(f"line {target!r} controls its own gate")))
+    return problems
 
 
-def _gate_rules(
-    k: int, p: int, controls: tuple[str, ...], target: str, declared: set[str]
-) -> Iterator[_Problem]:
-    """Scope before shape: an undeclared name is reported ahead of a bad root."""
-    yield from _gate_scope(controls, target, declared)
-    yield from _gate_shape(k, p, controls, target)
-
-
-# Quick tests that the gate rules have nothing to report.  Almost every gate
-# passes them; the rules run, to name the problem, only when one fails.
-
-
-def _distinct(controls: tuple[str, ...], target: str) -> bool:
-    """No control repeats and the target is no control."""
-    return len({*controls, target}) == len(controls) + 1
-
-
-def _lines_ok(controls: tuple[str, ...], target: str, declared: set[str]) -> bool:
-    """Distinct names, all declared: no rule has a line to report."""
-    names = {*controls, target}
-    return len(names) == len(controls) + 1 and names <= declared
-
-
-def _root_ok(k: int, p: int) -> bool:
-    """A root index within the limit and a power other than the identity."""
-    return _is_power_of_two(k) and k <= MAX_ROOT and p % (2 * k) != 0
-
-
-def _spec_rule(
+def _spec_problems(
     name: str, expr: Anf, declared: set[str], targets: set[str]
-) -> Iterator[_Problem]:
+) -> list[_Problem]:
+    problems: list[_Problem] = []
     if name not in declared:
-        yield name, UndeclaredLineError(f"line {name!r} used before declaration")
+        problems.append((name, UndeclaredLineError(f"line {name!r} used before declaration")))
     elif name not in targets:
-        yield name, ParseError(f"spec refers to non-target line {name!r}")
-    for v in sorted(expr.variables()):
-        if v not in declared:
-            yield v, UndeclaredLineError(f"line {v!r} used before declaration")
+        problems.append((name, ParseError(f"spec refers to non-target line {name!r}")))
+    problems += (
+        (v, UndeclaredLineError(f"line {v!r} used before declaration"))
+        for v in sorted(expr.variables())
+        if v not in declared
+    )
+    return problems
 
 
-def _raise_first(problems: Iterable[_Problem], toks: Sequence[tuple[str, int]]) -> None:
-    """Raise the first problem at the column of its name in ``toks``."""
+def _raise_first(problems: list[_Problem], toks: Sequence[tuple[str, int]]) -> None:
+    """Raise the first problem, if any, at the column of its name in ``toks``."""
     for name, err in problems:
         err.col = next((c for t, c in toks if t == name), None)
         raise err
@@ -318,7 +319,7 @@ def _parse_circuit(text: str) -> Circuit:
                 if len(toks) < 2 or len(toks) > 3:
                     raise ParseError("expected: line <id> [target]", col=hcol)
                 name = toks[1][0]
-                _raise_first(_line_rule(name, declared), toks[1:2])
+                _raise_first(_line_problems(name, declared), toks[1:2])
                 is_target = len(toks) == 3
                 if is_target and toks[2][0] != "target":
                     role, rcol = toks[2]
@@ -336,10 +337,10 @@ def _parse_circuit(text: str) -> Circuit:
                 if name in specs:
                     raise ParseError(f"duplicate spec for line {name!r}", col=ncol)
                 # the name comes first in the text, so its problems come first
-                _raise_first(_spec_rule(name, Anf.zero(), declared, targets), left[1:])
+                _raise_first(_spec_problems(name, Anf.zero(), declared, targets), left[1:])
                 expr_parser = _ExprParser(body, eq + 1)
                 expr = expr_parser.run_anf()
-                _raise_first(_spec_rule(name, expr, declared, targets), expr_parser.tokens)
+                _raise_first(_spec_problems(name, expr, declared, targets), expr_parser.tokens)
                 specs[name] = expr
 
             elif head in _NOT_ARITY:
@@ -348,8 +349,7 @@ def _parse_circuit(text: str) -> Circuit:
                 if not fewest <= len(args) <= (most or len(args)):
                     raise ParseError(f"malformed {head} statement", col=hcol)
                 ctrls, target = tuple(c for c, _ in args[:-1]), args[-1][0]
-                if not _lines_ok(ctrls, target, declared):
-                    _raise_first(_gate_rules(1, 1, ctrls, target, declared), args)
+                _raise_first(_gate_problems(1, 1, ctrls, target, declared), args)
                 gates.append(Gate(1, 1, ctrls, target))
 
             elif head in _SUGAR or head == "q":
@@ -373,9 +373,9 @@ def _parse_circuit(text: str) -> Circuit:
                 ctrls, target = tuple(c for c, _ in params), toks[-1][0]
                 # only a q statement can have a bad root or a zero power; they are
                 # reported at its k= and p= tokens
-                if not (_lines_ok(ctrls, target, declared) and (head != "q" or _root_ok(k, p))):
+                if problems := _gate_problems(k, p, ctrls, target, declared):
                     located = (("k=", toks[1][1]), ("p=", toks[2][1]), *params, toks[-1])
-                    _raise_first(_gate_rules(k, p, ctrls, target, declared), located)
+                    _raise_first(problems, located)
                 gates.append(Gate(k, p % (2 * k), ctrls, target))
 
             else:
@@ -384,10 +384,10 @@ def _parse_circuit(text: str) -> Circuit:
             exc.line = lineno
             raise
 
-    for _, err in _circuit_rule(lines):
+    for _, err in _circuit_problems(lines):
         err.line = err.col = 1
         raise err
-    return Circuit(tuple(lines), tuple(gates), specs)
+    return Circuit(lines, gates, specs)
 
 
 # -- gate census ----------------------------------------------------------------

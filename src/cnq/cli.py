@@ -72,7 +72,7 @@ class _UsageError(Exception):
 
 def _load(path: str) -> Circuit:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         # ``main`` puts the path in front of the message
         err = CnqError(f"cannot read: {getattr(exc, 'strerror', None) or exc}")

@@ -325,25 +325,24 @@ def cross_check(
     report: EvalReport,
     *,
     guard: int = DEFAULT_SIM_GUARD,
-    atol: float = CROSS_CHECK_ATOL,
 ) -> CrossCheckResult:
     """Compare simulation with a symbolic report on every basis input.
 
     The report predicts a product state.  A residual line holds Q^E(x)
     applied to the basis state of its base value; a Boolean line is the
     case K = 1, E = 0 with its Anf value as the base.  Each amplitude must
-    agree within ``atol``.
+    agree within atol = ``CROSS_CHECK_ATOL`` (1e-9).
 
     All inputs are simulated at once by ``_sweep``, in chunks, and compared
     factor by factor: each classical line's bit and the active block
     against the predicted 2-vectors and their outer product.  If no factor
     is off by more than delta = atol / (2(n+1)), the dense error is at most
     (1+delta)^n - 1 + delta < atol, so only flagged inputs can fail (this
-    needs atol far above rounding error, as the default is).  Each
-    flagged input is re-run through dense ``simulate`` in counting order,
-    and the first whose error exceeds ``atol`` is the witness.  A passing
-    check never calls ``simulate``.  Circuits above ``guard`` lines are
-    refused before any work.
+    needs atol far above rounding error, as 1e-9 is).  Each flagged input
+    is re-run through dense ``simulate`` in counting order, and the first
+    whose error exceeds atol is the witness.  A passing check never calls
+    ``simulate``.  Circuits above ``guard`` lines are refused before any
+    work.
     """
     names = circuit.line_names
     if set(report.outcomes) != set(names):
@@ -357,7 +356,7 @@ def cross_check(
         oc.state if oc.value is None else TargetState(oc.value, 1, MlPoly.zero())
         for oc in (report.outcomes[name] for name in names)
     ]
-    delta = atol / (2 * (n + 1))
+    delta = CROSS_CHECK_ATOL / (2 * (n + 1))
     chunk = max(1, _CHUNK_AMPS >> len(_active_lines(circuit)))
     for start in range(0, 1 << n, chunk):
         rows = range(start, min(start + chunk, 1 << n))
@@ -365,8 +364,7 @@ def cross_check(
             i = start + int(r)
             point = {name: (i >> (n - 1 - j)) & 1 for j, name in enumerate(names)}
             err = _dense_error(circuit, states, point, guard)
-            if err > atol:
-                return CrossCheckResult(
-                    False, i + 1, point, f"max amplitude error {err:.3e} exceeds {atol:g}"
-                )
+            if err > CROSS_CHECK_ATOL:
+                detail = f"max amplitude error {err:.3e} exceeds {CROSS_CHECK_ATOL:g}"
+                return CrossCheckResult(False, i + 1, point, detail)
     return CrossCheckResult(True, 1 << n)

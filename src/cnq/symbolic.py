@@ -204,17 +204,9 @@ def evaluate(circuit: Circuit) -> EvalReport:
     The reports of the last two circuits evaluated are remembered, and this
     is how ``check_spec``, ``equivalent`` and ``merge_pass`` reuse an
     evaluation: an equal circuit, specs included, gets the same report
-    again.  A failed evaluation is not remembered.  A circuit built with
-    list fields is unhashable and is evaluated afresh each time.
+    again.  A failed evaluation is not remembered.
     """
-    try:
-        return _evaluate_memo(circuit)
-    except TypeError:
-        try:
-            hash(circuit)
-        except TypeError:       # list fields: no memo
-            return _evaluate(circuit)
-        raise                   # raised by the evaluation itself
+    return _evaluate_memo(circuit)
 
 
 def _evaluate(circuit: Circuit) -> EvalReport:

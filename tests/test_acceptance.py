@@ -105,7 +105,7 @@ def test_criterion_05_optimizer_reductions():
 def test_criterion_06_oracle_cross_check():
     for name in ALL_FIXTURES:
         c = load(name)
-        res = cross_check(c, evaluate(c), atol=1e-9)
+        res = cross_check(c, evaluate(c))
         assert res.passed, f"{name}: {res.detail} at {res.witness}"
     res = self_test(seed=2026, count=200, max_lines=5, max_gates=20)
     assert res.passed, res.failures[:3]

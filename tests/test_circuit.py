@@ -20,15 +20,7 @@ from cnq import (
     ZeroPowerError,
 )
 
-from cnq.circuit import (
-    MAX_ROOT,
-    _distinct,
-    _gate_rules,
-    _gate_scope,
-    _gate_shape,
-    _lines_ok,
-    _root_ok,
-)
+from cnq.circuit import MAX_ROOT, _gate_problems
 
 from conftest import fixture_path, load
 
@@ -311,25 +303,41 @@ def test_parser_and_validate_share_one_rulebook(c):
 _NAMES = st.sampled_from("abcd")
 
 
-@given(
+_GATES = (
     st.one_of(st.integers(-2, 9), st.sampled_from((MAX_ROOT, 2 * MAX_ROOT))),
     st.integers(-20, 20),
     st.lists(_NAMES, max_size=4).map(tuple),
     _NAMES,
-    st.sets(_NAMES),
 )
-def test_quick_rule_tests_pass_only_when_the_rules_report_nothing(k, p, controls, target, declared):
-    # the parser and Gate.make run the rules only when a quick test fails
-    assert _lines_ok(controls, target, declared) == (
-        not any(_gate_scope(controls, target, declared))
-        and not any(_gate_shape(1, 1, controls, target))
-    )
-    assert (_lines_ok(controls, target, declared) and _root_ok(k, p)) == (
-        not any(_gate_rules(k, p, controls, target, declared))
-    )
-    assert (_distinct(controls, target) and _root_ok(k, p)) == (
-        not any(_gate_shape(k, p, controls, target))
-    )
+
+
+def _first(problems):
+    return [(err.code, err.message) for _, err in problems[:1]]
+
+
+@given(*_GATES)
+def test_gate_make_raises_the_first_gate_problem(k, p, controls, target):
+    problems = _gate_problems(k, p, controls, target, None)
+    try:
+        g = Gate.make(k, p, controls, target)
+    except CnqError as exc:
+        assert [(exc.code, exc.message)] == _first(problems)
+        return
+    assert not problems
+    assert 0 < g.p < 2 * g.k
+
+
+@given(*_GATES, st.sets(_NAMES))
+def test_parser_raises_the_first_gate_problem(k, p, controls, target, declared):
+    problems = _gate_problems(k, p, controls, target, declared)
+    text = "".join(f"line {name}\n" for name in sorted(declared))
+    text += f"q k={k} p={p} {' '.join(controls)} -> {target}\n"
+    try:
+        Circuit.parse(text)
+    except CnqError as exc:
+        assert [(exc.code, exc.message)] == _first(problems)
+        return
+    assert not problems
 
 
 # -- gate census ---------------------------------------------------------------------

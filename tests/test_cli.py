@@ -59,6 +59,13 @@ def test_undecodable_file_exits_two(capsys, tmp_path):
     assert "E_IO" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_a_byte_order_mark_is_skipped(capsys, tmp_path, command):
+    bom = tmp_path / "fig2.cnq"
+    bom.write_bytes(b"\xef\xbb\xbf" + fixture_path("fig2").read_bytes())
+    assert run(capsys, command, str(bom))[:2] == run(capsys, command, FIG2)[:2]
+
+
 def test_parse_error_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.cnq"
     bad.write_text("line a\nfrobnicate a\n")

@@ -482,15 +482,14 @@ def test_a_shared_report_cannot_be_written(fig2):
     assert evaluate(fig2).outcomes["t"].name == "t"
 
 
-def test_a_circuit_with_list_fields_is_evaluated_afresh():
-    lines, gates = [Line("a"), Line("t", True)], [Gate(2, 1, ["a"], "t"), Gate(2, 1, ["a"], "t")]
-    c = Circuit(lines, gates)
-    report = evaluate(c)
-    assert report.outcomes["t"].value == Anf.parse("t ^ a")
-    fresh = evaluate(c)
-    assert fresh is not report
-    hashable = Circuit(tuple(lines), tuple(Gate(g.k, g.p, tuple(g.controls), g.target) for g in gates))
-    assert fresh == evaluate(hashable)
+def test_list_fields_are_stored_as_tuples(memo_info):
+    c = Circuit([Line("a"), Line("t", True)], [Gate(2, 1, ["a"], "t"), Gate(2, 1, ("a",), "t")])
+    hashable = Circuit((Line("a"), Line("t", True)), (Gate(2, 1, ("a",), "t"),) * 2)
+    assert c == hashable and hash(c) == hash(hashable)
+    assert type(c.lines) is type(c.gates) is type(c.gates[0].controls) is tuple
+    assert evaluate(c).outcomes["t"].value == Anf.parse("t ^ a")
+    evaluate(c)
+    assert (memo_info().misses, memo_info().hits) == (1, 1)
 
 
 @given(st.integers(0, 2**32), st.lists(st.integers(0, 2**32), min_size=2, max_size=3))
