@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from collections.abc import Iterable, Mapping, Sequence
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import (
     BadRootError,
@@ -66,37 +68,27 @@ class Line:
 
 @dataclass(frozen=True)
 class Gate:
-    """Q^p on ``target`` under the conjunction of ``controls`` (k-th root Q)."""
+    """Q^p on ``target`` under the conjunction of ``controls`` (k-th root Q).
+
+    Construction raises the first problem of the gate's shape, then stores
+    ``controls`` as a tuple and ``p`` reduced into 0 < p < 2k.
+    """
 
     k: int
     p: int
     controls: tuple[str, ...] = ()
     target: str = ""
 
-    @classmethod
-    def make(
-        cls,
-        k: int,
-        p: int,
-        controls: Iterable[str],
-        target: str,
-    ) -> "Gate":
-        """Checked constructor: raises the first gate problem and canonicalizes p.
-
-        There is no line table here, so names are not checked for scope.
-        """
-        ctrls = tuple(controls)
-        for _, err in _gate_problems(k, p, ctrls, target, None):
-            raise err
-        return cls(k, p % (2 * k), ctrls, target)
-
     def __post_init__(self) -> None:
         if type(self.controls) is not tuple:
             object.__setattr__(self, "controls", tuple(self.controls))
+        for _, err in _gate_problems(self.k, self.p, self.controls, self.target):
+            raise err
+        object.__setattr__(self, "p", self.p % (2 * self.k))
 
     @property
     def is_not_family(self) -> bool:
-        return self.p % (2 * self.k) == self.k
+        return self.p == self.k
 
     def __str__(self) -> str:
         """The ``.cnq`` statement for this gate, using sugar where it applies."""
@@ -113,17 +105,45 @@ class Gate:
         return f"q k={self.k} p={self.p} {ctrl}-> {self.target}"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Circuit:
+    """Named lines, gates over them and output specs of target lines.
+
+    Construction stores tuples and a read-only copy of ``specs``, then raises
+    the first problem of the lines, of each gate's scope (with its
+    ``gate_index``), then of the specs; ``replace`` checks its result too.
+    """
+
     lines: tuple[Line, ...] = ()
     gates: tuple[Gate, ...] = ()
-    # equal circuits still hash equal: __eq__ compares specs, __hash__ skips them
-    specs: Mapping[str, Anf] = field(default_factory=dict, hash=False)
+    specs: Mapping[str, Anf] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # tuple fields make every circuit hashable, so evaluate can remember it
         object.__setattr__(self, "lines", tuple(self.lines))
         object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "specs", MappingProxyType(dict(self.specs)))
+        if not self.lines:
+            raise ParseError("circuit declares no lines")
+        declared: set[str] = set()
+        for ln in self.lines:
+            for _, err in _line_problems(ln.name, declared):
+                raise err
+            declared.add(ln.name)
+        for i, g in enumerate(self.gates):
+            for _, err in _scope_problems(g.controls, g.target, declared):
+                err.gate_index = i
+                raise err
+        targets = set(self.target_names())
+        for name, expr in self.specs.items():
+            for _, err in _spec_problems(name, expr, declared, targets):
+                raise err
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.lines, self.gates))
+
+    def __hash__(self) -> int:     # once per circuit; specs stay out of it
+        return self._hash
 
     # -- access helpers ------------------------------------------------------
 
@@ -160,23 +180,7 @@ class Circuit:
                 out.append(f"spec {ln.name} = {self.specs[ln.name]}")
         return "\n".join(out) + "\n"
 
-    # -- checks ---------------------------------------------------------------
-
-    def validate(self) -> list[CnqError]:
-        """Every well-formedness problem; a gate's problems carry its ``gate_index``."""
-        problems = [err for _, err in _circuit_problems(self.lines)]
-        declared: set[str] = set()
-        for ln in self.lines:
-            problems += (err for _, err in _line_problems(ln.name, declared))
-            declared.add(ln.name)
-        for i, g in enumerate(self.gates):
-            for _, err in _gate_problems(g.k, g.p, g.controls, g.target, declared):
-                err.gate_index = i
-                problems.append(err)
-        targets = set(self.target_names())
-        for name, expr in self.specs.items():
-            problems += (err for _, err in _spec_problems(name, expr, declared, targets))
-        return problems
+    # -- census ---------------------------------------------------------------
 
     def gate_count(self) -> dict[str, int]:
         return _gate_count(self)
@@ -185,18 +189,14 @@ class Circuit:
 # -- well-formedness rules ----------------------------------------------------
 #
 # Each rule is one function that lists the problems of one item as
-# (offending name or None, error) pairs, checked against the line names
-# declared so far; the list is empty in the usual case.  All three drivers
-# read the same lists: the parser raises the first problem of each statement
-# at the column of the offending name's token (a bad root's name is "k=" and
-# a zero power's "p=", its ``q`` tokens), Gate.make raises the first problem
-# of a gate, and Circuit.validate collects every problem of the circuit.
+# (offending name or None, error) pairs, empty in the usual case.  Gate() and
+# Circuit() raise their first problem.  The parser checks each statement
+# against the lines declared so far and raises its first problem at the column
+# of the offending name's token (a bad root's name is "k=" and a bad power's
+# "p=", its ``q`` tokens).
 
 _Problem = tuple[str | None, CnqError]
-
-
-def _circuit_problems(lines: Sequence[Line]) -> list[_Problem]:
-    return [] if lines else [(None, ParseError("circuit declares no lines"))]
+_Tokens = Sequence[tuple[str, int]]
 
 
 def _line_problems(name: str, declared: set[str]) -> list[_Problem]:
@@ -207,30 +207,30 @@ def _line_problems(name: str, declared: set[str]) -> list[_Problem]:
     return []
 
 
-def _gate_problems(
-    k: int, p: int, controls: tuple[str, ...], target: str, declared: set[str] | None
-) -> list[_Problem]:
-    """Scope before shape: every undeclared name, then a bad root or a zero
-    power, then a duplicate control, then self-control.
-
-    ``declared=None`` skips the scope check.  The usual gate, with distinct
-    declared names, is passed on one set before any name is looked for.
-    """
-    names = {*controls, target}
-    distinct = len(names) == len(controls) + 1
-    in_scope = declared is None or names <= declared
-    if distinct and in_scope and _is_power_of_two(k) and k <= MAX_ROOT and p % (2 * k):
+def _scope_problems(controls: tuple[str, ...], target: str, declared: set[str]) -> list[_Problem]:
+    """Every undeclared name of a gate, controls first, then the target."""
+    if target in declared and declared.issuperset(controls):
         return []
-    problems: list[_Problem] = [
+    return [
         (name, UndeclaredLineError(f"line {name!r} used before declaration"))
         for name in (*controls, target)
-        if not in_scope and name not in declared
+        if name not in declared
     ]
+
+
+def _gate_problems(k: int, p: int, controls: tuple[str, ...], target: str) -> list[_Problem]:
+    """A bad root, a non-integer or zero power, then a duplicate control, then self-control."""
+    distinct = len({*controls, target}) == len(controls) + 1
+    if distinct and _is_power_of_two(k) and k <= MAX_ROOT and isinstance(p, int) and p % (2 * k):
+        return []
+    problems: list[_Problem] = []
     if not _is_power_of_two(k):
         err = BadRootError(f"root index must be a positive power of two, got {k}")
         problems.append(("k=", err))
     elif k > MAX_ROOT:
         problems.append(("k=", BadRootError(f"root index {k} exceeds the limit 2^20 = {MAX_ROOT}")))
+    elif not isinstance(p, int):
+        problems.append(("p=", ParseError(f"power must be an integer, got {p!r}")))
     elif p % (2 * k) == 0:
         problems.append(("p=", ZeroPowerError(f"power {p} is 0 mod {2 * k}: the identity gate")))
     repeated = next((c for i, c in enumerate(controls) if c in controls[:i]), None)
@@ -241,9 +241,7 @@ def _gate_problems(
     return problems
 
 
-def _spec_problems(
-    name: str, expr: Anf, declared: set[str], targets: set[str]
-) -> list[_Problem]:
+def _spec_problems(name: str, expr: Anf, declared: set[str], targets: set[str]) -> list[_Problem]:
     problems: list[_Problem] = []
     if name not in declared:
         problems.append((name, UndeclaredLineError(f"line {name!r} used before declaration")))
@@ -257,7 +255,7 @@ def _spec_problems(
     return problems
 
 
-def _raise_first(problems: list[_Problem], toks: Sequence[tuple[str, int]]) -> None:
+def _raise_first(problems: list[_Problem], toks: _Tokens) -> None:
     """Raise the first problem, if any, at the column of its name in ``toks``."""
     for name, err in problems:
         err.col = next((c for t, c in toks if t == name), None)
@@ -349,8 +347,7 @@ def _parse_circuit(text: str) -> Circuit:
                 if not fewest <= len(args) <= (most or len(args)):
                     raise ParseError(f"malformed {head} statement", col=hcol)
                 ctrls, target = tuple(c for c, _ in args[:-1]), args[-1][0]
-                _raise_first(_gate_problems(1, 1, ctrls, target, declared), args)
-                gates.append(Gate(1, 1, ctrls, target))
+                gates.append(_parse_gate(1, 1, ctrls, target, declared, args))
 
             elif head in _SUGAR or head == "q":
                 arrow = next((i for i, (t, _) in enumerate(toks) if t == "->"), None)
@@ -373,10 +370,8 @@ def _parse_circuit(text: str) -> Circuit:
                 ctrls, target = tuple(c for c, _ in params), toks[-1][0]
                 # only a q statement can have a bad root or a zero power; they are
                 # reported at its k= and p= tokens
-                if problems := _gate_problems(k, p, ctrls, target, declared):
-                    located = (("k=", toks[1][1]), ("p=", toks[2][1]), *params, toks[-1])
-                    _raise_first(problems, located)
-                gates.append(Gate(k, p % (2 * k), ctrls, target))
+                located = (("k=", toks[1][1]), ("p=", toks[2][1]), *params, toks[-1])
+                gates.append(_parse_gate(k, p, ctrls, target, declared, located))
 
             else:
                 raise ParseError(f"unknown statement {head!r}", col=hcol)
@@ -384,10 +379,23 @@ def _parse_circuit(text: str) -> Circuit:
             exc.line = lineno
             raise
 
-    for _, err in _circuit_problems(lines):
-        err.line = err.col = 1
-        raise err
-    return Circuit(lines, gates, specs)
+    try:
+        return Circuit(lines, gates, specs)
+    except CnqError as exc:     # every statement passed: the text declares no lines
+        exc.line = exc.col = 1
+        raise
+
+
+def _parse_gate(
+    k: int, p: int, ctrls: tuple[str, ...], target: str, declared: set[str], toks: _Tokens
+) -> Gate:
+    """The statement's gate, or its first problem of scope, then of shape, at its token."""
+    _raise_first(_scope_problems(ctrls, target, declared), toks)
+    try:
+        return Gate(k, p, ctrls, target)
+    except CnqError:
+        _raise_first(_gate_problems(k, p, ctrls, target), toks)
+        raise
 
 
 # -- gate census ----------------------------------------------------------------
@@ -407,20 +415,19 @@ def _gate_count(c: Circuit) -> dict[str, int]:
     targets = {ln.name for ln in c.lines if ln.is_target}
     total_controlled = on_targets = forming = 0
     for g in c.gates:
-        p = g.p % (2 * g.k)
-        if p == g.k:
+        if g.is_not_family:
             key = "not" if not g.controls else ("cnot" if len(g.controls) == 1 else "mcnot")
         elif not g.controls:
-            key = f"q(k={g.k},p={p})"
+            key = f"q(k={g.k},p={g.p})"
         else:
-            sugar = _SUGAR_BY_KP.get((g.k, p))
-            key = f"c{sugar}" if sugar else f"cq(k={g.k},p={p})"
+            sugar = _SUGAR_BY_KP.get((g.k, g.p))
+            key = f"c{sugar}" if sugar else f"cq(k={g.k},p={g.p})"
         counts[key] = counts.get(key, 0) + 1
         if g.controls:
             total_controlled += 1
             if g.target in targets:
                 on_targets += 1
-            if p == g.k and g.target not in targets:
+            if g.is_not_family and g.target not in targets:
                 forming += 1
     counts["total_controlled"] = total_controlled
     counts["total_on_targets"] = on_targets

@@ -29,8 +29,8 @@ def random_circuit(
         target = rng.choice(names)
         others = [nm for nm in names if nm != target]
         ctrls = rng.sample(others, rng.randint(0, min(2, len(others))))
-        gates.append(Gate.make(k, p, ctrls, target))
-    return Circuit(lines, tuple(gates))
+        gates.append(Gate(k, p, ctrls, target))
+    return Circuit(lines, gates)
 
 
 def random_valid_circuit(rng: random.Random, **kwargs) -> Circuit:

@@ -104,10 +104,10 @@ def merge_pass(circuit: Circuit) -> MergeResult:
         if total == 0:
             change = Change("cancel", target, indices, None, "contributions sum to the identity")
         elif total == k_ep:
-            g = Gate.make(1, 1, controls, target)
+            g = Gate(1, 1, controls, target)
             change = Change("promote", target, indices, g, "contributions sum to NOT")
         else:
-            change = Change("merge", target, indices, Gate.make(k_ep, total, controls, target))
+            change = Change("merge", target, indices, Gate(k_ep, total, controls, target))
         replaced.update(dict.fromkeys(indices[:-1]))
         replaced[indices[-1]] = change.replacement
         changes.append(change)

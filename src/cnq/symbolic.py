@@ -234,15 +234,14 @@ def _evaluate(circuit: Circuit) -> EvalReport:
             ctrl = s if ctrl is None else ctrl & s
 
         tstate = states[g.target]
-        p = g.p % (2 * g.k)
-        if p == g.k and isinstance(tstate, Anf):
+        if g.is_not_family and isinstance(tstate, Anf):
             states[g.target] = tstate ^ ctrl
             trace.append(GateRecord(i, g.target, ctrl, False, None))
         else:
             if isinstance(tstate, Anf):
                 episode[g.target] += 1
                 tstate = TargetState(tstate, g.k, MlPoly.zero())
-            states[g.target] = tstate.absorb(g.k, p, ctrl)
+            states[g.target] = tstate.absorb(g.k, g.p, ctrl)
             trace.append(GateRecord(i, g.target, ctrl, True, episode[g.target]))
 
     outcomes: dict[str, LineOutcome] = {}

@@ -1,4 +1,4 @@
-"""Circuit text format: parser, renderer, validation, gate census."""
+"""Circuit text format: parser, renderer, well-formedness on construction, gate census."""
 
 import random
 import re
@@ -20,7 +20,13 @@ from cnq import (
     ZeroPowerError,
 )
 
-from cnq.circuit import MAX_ROOT, _gate_problems
+from cnq.circuit import (
+    MAX_ROOT,
+    _gate_problems,
+    _line_problems,
+    _scope_problems,
+    _spec_problems,
+)
 
 from conftest import fixture_path, load
 
@@ -49,7 +55,7 @@ def test_parse_comments_and_blank_lines():
         """
     )
     assert len(c.gates) == 1
-    assert c.gates[0] == Gate.make(1, 1, ("a",), "t")
+    assert c.gates[0] == Gate(1, 1, ("a",), "t")
 
 
 def test_parse_gate_statements():
@@ -81,7 +87,6 @@ def test_parse_spec_expression(fig2):
 def test_fixtures_round_trip(name):
     c = load(name)
     assert Circuit.parse(str(c)) == c
-    assert c.validate() == []
 
 
 @pytest.mark.parametrize(
@@ -161,40 +166,39 @@ def test_undeclared_lines_are_located_on_their_name():
 
 
 def test_gate_make_canonicalizes_power():
-    assert Gate.make(2, -1, ("a",), "t").p == 3
-    assert Gate.make(2, 5, ("a",), "t").p == 1
-    assert Gate.make(4, 9, (), "t").p == 1
+    assert Gate(2, -1, ("a",), "t") == Gate(2, 3, ("a",), "t")
+    assert Gate(2, 5, ("a",), "t").p == 1
+    assert Gate(4, 9, (), "t").p == 1
     with pytest.raises(ZeroPowerError):
-        Gate.make(2, 4, ("a",), "t")
+        Gate(2, 4, ("a",), "t")
     with pytest.raises(BadRootError):
-        Gate.make(0, 1, (), "t")
+        Gate(0, 1, (), "t")
     with pytest.raises(BadRootError):
-        Gate.make(6, 1, (), "t")
+        Gate(6, 1, (), "t")
 
 
 def test_gate_not_family_predicate():
-    assert Gate.make(1, 1, ("a",), "t").is_not_family
-    assert Gate.make(2, 2, ("a",), "t").is_not_family
-    assert not Gate.make(2, 1, ("a",), "t").is_not_family
-    assert not Gate.make(4, 2, ("a",), "t").is_not_family
+    assert Gate(1, 1, ("a",), "t").is_not_family
+    assert Gate(2, 2, ("a",), "t").is_not_family
+    assert not Gate(2, 1, ("a",), "t").is_not_family
+    assert not Gate(4, 2, ("a",), "t").is_not_family
 
 
 # -- rendering ---------------------------------------------------------------------
 
 
 def test_render_sugar_forms():
-    mk = Gate.make
     pairs = [
-        (mk(1, 1, (), "t"), "not t"),
-        (mk(1, 1, ("a",), "t"), "cnot a t"),
-        (mk(1, 1, ("a", "b"), "t"), "ccx a b t"),
-        (mk(2, 1, ("a",), "t"), "v a -> t"),
-        (mk(2, 3, ("a",), "t"), "v* a -> t"),
-        (mk(4, 1, ("a",), "t"), "w a -> t"),
-        (mk(4, 7, ("a",), "t"), "w* a -> t"),
-        (mk(2, 1, (), "t"), "q k=2 p=1 -> t"),
-        (mk(8, 5, ("a", "b"), "t"), "q k=8 p=5 a b -> t"),
-        (mk(2, 2, ("a",), "t"), "q k=2 p=2 a -> t"),
+        (Gate(1, 1, (), "t"), "not t"),
+        (Gate(1, 1, ("a",), "t"), "cnot a t"),
+        (Gate(1, 1, ("a", "b"), "t"), "ccx a b t"),
+        (Gate(2, 1, ("a",), "t"), "v a -> t"),
+        (Gate(2, 3, ("a",), "t"), "v* a -> t"),
+        (Gate(4, 1, ("a",), "t"), "w a -> t"),
+        (Gate(4, 7, ("a",), "t"), "w* a -> t"),
+        (Gate(2, 1, (), "t"), "q k=2 p=1 -> t"),
+        (Gate(8, 5, ("a", "b"), "t"), "q k=8 p=5 a b -> t"),
+        (Gate(2, 2, ("a",), "t"), "q k=2 p=2 a -> t"),
     ]
     for g, text in pairs:
         c = Circuit((Line("a"), Line("b"), Line("t", True)), (g,))
@@ -202,39 +206,80 @@ def test_render_sugar_forms():
         assert Circuit.parse(str(c)).gates[0] == g
 
 
-# -- validation -------------------------------------------------------------------
+# -- well-formed by construction ----------------------------------------------------
+
+_LINES = (Line("a"), Line("t", True))
 
 
-def test_validate_collects_diagnostics():
-    # bypass the checked constructor to exercise the linter
-    c = Circuit(
-        (Line("a"), Line("a"), Line("t", True)),
+@pytest.mark.parametrize(
+    "build,text",
+    [
+        (lambda: Circuit(), "E_SYNTAX: circuit declares no lines"),
+        (lambda: Circuit((Line("2x"),)), "E_SYNTAX: invalid line name '2x'"),
+        (lambda: Circuit((Line("a"), Line("a"))), "E_SYNTAX: line 'a' already declared"),
+        (lambda: Gate(3, 1, (), "t"), "E_BAD_K: root index must be a positive power of two, got 3"),
+        (lambda: Gate(2, 4, ("a",), "t"), "E_ZERO_POWER: power 4 is 0 mod 4: the identity gate"),
+        (lambda: Gate(2, 1.5, ("a",), "t"), "E_SYNTAX: power must be an integer, got 1.5"),
+        (lambda: Gate(1, 1, ("a", "a"), "t"), "E_SYNTAX: duplicate control on gate targeting 't'"),
+        (lambda: Gate(1, 1, ("t",), "t"), "E_SELF_CONTROL: line 't' controls its own gate"),
         (
-            Gate(3, 1, (), "t"),
-            Gate(2, 4, ("a",), "t"),
-            Gate(1, 1, ("z",), "t"),
-            Gate(1, 1, ("t",), "t"),
-            Gate(1, 1, ("a", "a"), "q"),
+            lambda: Circuit(_LINES, (Gate(1, 1, (), "t"), Gate(1, 1, ("z",), "t"))),
+            "gate 1: E_UNDECLARED_LINE: line 'z' used before declaration",
         ),
-        {"ghost": Anf.var("a")},
-    )
-    codes = sorted(d.code for d in c.validate())
-    assert codes == [
-        "E_BAD_K",
-        "E_SELF_CONTROL",
-        "E_SYNTAX",
-        "E_SYNTAX",
-        "E_UNDECLARED_LINE",
-        "E_UNDECLARED_LINE",
-        "E_UNDECLARED_LINE",
-        "E_ZERO_POWER",
-    ]
-    assert "gate 0" in str(next(d for d in c.validate() if d.code == "E_BAD_K"))
+        (
+            lambda: Circuit(_LINES, (Gate(1, 1, ("a",), "q"),)),
+            "gate 0: E_UNDECLARED_LINE: line 'q' used before declaration",
+        ),
+        (
+            lambda: Circuit(_LINES, (), {"a": Anf.var("a")}),
+            "E_SYNTAX: spec refers to non-target line 'a'",
+        ),
+        (
+            lambda: Circuit(_LINES, (), {"ghost": Anf.var("a")}),
+            "E_UNDECLARED_LINE: line 'ghost' used before declaration",
+        ),
+        (
+            lambda: Circuit(_LINES, (), {"t": Anf.var("z")}),
+            "E_UNDECLARED_LINE: line 'z' used before declaration",
+        ),
+        # lines before gates before specs
+        (
+            lambda: Circuit((Line("a"), Line("a")), (Gate(1, 1, ("z",), "a"),), {"q": Anf.one()}),
+            "E_SYNTAX: line 'a' already declared",
+        ),
+        (
+            lambda: Circuit(_LINES, (Gate(1, 1, ("z",), "t"),), {"q": Anf.one()}),
+            "gate 0: E_UNDECLARED_LINE: line 'z' used before declaration",
+        ),
+        (
+            lambda: replace(load("fig2"), specs={"a": Anf.var("a")}),
+            "E_SYNTAX: spec refers to non-target line 'a'",
+        ),
+        (
+            lambda: load("fig2").with_gates([Gate(2, 1, ("z",), "t")]),
+            "gate 0: E_UNDECLARED_LINE: line 'z' used before declaration",
+        ),
+    ],
+    ids=[
+        "no-lines", "bad-name", "duplicate-line", "bad-root", "zero-power", "non-integer-power",
+        "duplicate-control", "self-control", "undeclared-control", "undeclared-target",
+        "spec-on-control", "spec-on-undeclared", "spec-variable-undeclared",
+        "lines-first", "gates-before-specs", "replace", "with-gates",
+    ],
+)
+def test_construction_raises_the_first_problem(build, text):
+    with pytest.raises(CnqError) as e:
+        build()
+    assert str(e.value) == text
 
 
-def test_validate_checks_every_rule_of_a_bad_gate():
-    c = Circuit((Line("t", True),), (Gate(3, 1, ("z",), "t"),))
-    assert sorted(e.code for e in c.validate()) == ["E_BAD_K", "E_UNDECLARED_LINE"]
+def test_specs_are_a_read_only_copy(fig2):
+    specs = {"t": Anf.var("t")}
+    c = Circuit(fig2.lines, fig2.gates, specs)
+    specs["a"] = Anf.var("a")
+    assert list(c.specs) == ["t"]
+    with pytest.raises(TypeError):
+        c.specs["a"] = Anf.var("a")
 
 
 # Line names: valid identifiers, invalid ones, and "z", which is never declared.
@@ -244,12 +289,11 @@ _USED_NAMES = _VALID_NAMES + _INVALID_NAMES + ("z",)
 
 
 @st.composite
-def _circuits(draw):
-    """Circuits built directly, bypassing Gate.make.
+def _parts(draw):
+    """The raw parts of a circuit: lines, (k, p, controls, target) gates, specs.
 
-    Each part (lines, gates, specs) keeps to well-formed choices three
-    times in four, so that the round-trip direction of the property runs
-    often; otherwise it may break any rule.
+    Each part keeps to well-formed choices three times in four, so that
+    both sides often build a circuit; otherwise it may break any rule.
     """
     mostly = st.integers(0, 3).map(bool)
     strict = draw(mostly)
@@ -275,7 +319,7 @@ def _circuits(draw):
             k, p = draw(st.sampled_from((1, 2, 4, 8))), 2 * draw(st.integers()) + 1
         else:
             k, p = draw(st.integers(0, 8)), draw(st.integers())
-        gates.append(Gate(k, p, controls, target))
+        gates.append((k, p, controls, target))
     strict = draw(mostly)
     spec_lines = [ln.name for ln in lines if ln.is_target or not strict]
     if not strict:
@@ -283,21 +327,51 @@ def _circuits(draw):
     variables = st.sampled_from(declared if strict else declared + ["z"])
     anf = st.lists(st.lists(variables, max_size=2), max_size=3).map(Anf)
     specs = draw(st.dictionaries(st.sampled_from(spec_lines), anf, max_size=2)) if spec_lines else {}
-    return Circuit(tuple(lines), tuple(gates), specs)
+    return lines, gates, specs
 
 
-@given(_circuits())
-@example(Circuit((Line("2x"), Line("t", True)), ()))
-def test_parser_and_validate_share_one_rulebook(c):
-    problems = c.validate()
+def _text(lines, gates, specs):
+    """The parts as ``.cnq`` text, every gate a ``q`` statement."""
+    out = [f"line {ln.name} target" if ln.is_target else f"line {ln.name}" for ln in lines]
+    out += [f"q k={k} p={p} {' '.join(ctrls)} -> {target}" for k, p, ctrls, target in gates]
+    out += [f"spec {name} = {expr}" for name, expr in specs.items()]
+    return "\n".join(out) + "\n"
+
+
+def _codes(lines, gates, specs):
+    """The code of every problem the rules find in the parts."""
+    problems = [] if lines else [ParseError("circuit declares no lines")]
+    declared = set()
+    for ln in lines:
+        problems += (err for _, err in _line_problems(ln.name, declared))
+        declared.add(ln.name)
+    for k, p, ctrls, target in gates:
+        problems += (err for _, err in _scope_problems(ctrls, target, declared))
+        problems += (err for _, err in _gate_problems(k, p, ctrls, target))
+    targets = {ln.name for ln in lines if ln.is_target}
+    for name, expr in specs.items():
+        problems += (err for _, err in _spec_problems(name, expr, declared, targets))
+    return {err.code for err in problems}
+
+
+def _outcome(build):
     try:
-        parsed = Circuit.parse(str(c))
+        return build()
     except CnqError as exc:
-        assert exc.code in {e.code for e in problems}
-        return
-    if not problems:
-        canonical = tuple(Gate(g.k, g.p % (2 * g.k), g.controls, g.target) for g in c.gates)
-        assert parsed == replace(c, gates=canonical)
+        return exc
+
+
+@given(_parts())
+@example(([Line("2x"), Line("t", True)], [], {}))
+def test_parser_and_constructor_share_one_rulebook(parts):
+    lines, gates, specs = parts
+    built = _outcome(lambda: Circuit(lines, [Gate(*g) for g in gates], specs))
+    parsed = _outcome(lambda: Circuit.parse(_text(*parts)))
+    assert isinstance(built, CnqError) == isinstance(parsed, CnqError)
+    if isinstance(built, CnqError):
+        assert {built.code, parsed.code} <= _codes(*parts)
+    else:
+        assert parsed == built
 
 
 _NAMES = st.sampled_from("abcd")
@@ -317,9 +391,9 @@ def _first(problems):
 
 @given(*_GATES)
 def test_gate_make_raises_the_first_gate_problem(k, p, controls, target):
-    problems = _gate_problems(k, p, controls, target, None)
+    problems = _gate_problems(k, p, controls, target)
     try:
-        g = Gate.make(k, p, controls, target)
+        g = Gate(k, p, controls, target)
     except CnqError as exc:
         assert [(exc.code, exc.message)] == _first(problems)
         return
@@ -329,7 +403,7 @@ def test_gate_make_raises_the_first_gate_problem(k, p, controls, target):
 
 @given(*_GATES, st.sets(_NAMES))
 def test_parser_raises_the_first_gate_problem(k, p, controls, target, declared):
-    problems = _gate_problems(k, p, controls, target, declared)
+    problems = _scope_problems(controls, target, declared) or _gate_problems(k, p, controls, target)
     text = "".join(f"line {name}\n" for name in sorted(declared))
     text += f"q k={k} p={p} {' '.join(controls)} -> {target}\n"
     try:
@@ -389,7 +463,9 @@ def test_equal_circuits_hash_equal(fig2):
     assert hash(fig2) == hash(again)
     cache = {fig2: "fig2"}
     assert cache[again] == "fig2"
+    # specs stay out of the hash
     assert replace(fig2, specs={}) != fig2
+    assert hash(replace(fig2, specs={})) == hash(fig2)
 
 
 # -- the root-index limit --------------------------------------------------------------
@@ -405,6 +481,4 @@ def test_root_index_above_limit_is_rejected_at_its_token():
     assert str(MAX_ROOT) in e.value.message
     assert Circuit.parse("line a\nline t target\nq k=1048576 p=1 a -> t").gates[0].k == MAX_ROOT
     with pytest.raises(BadRootError):
-        Gate.make(2 * MAX_ROOT, 1, ("a",), "t")
-    c = Circuit((Line("a"), Line("t", True)), (Gate(2 * MAX_ROOT, 1, ("a",), "t"),))
-    assert [e.code for e in c.validate()] == ["E_BAD_K"]
+        Gate(2 * MAX_ROOT, 1, ("a",), "t")

@@ -371,7 +371,7 @@ def test_appending_inverse_pair_preserves_equivalence(fig2):
     from cnq import Gate
 
     extended = fig2.with_gates(
-        fig2.gates + (Gate.make(2, 1, ("a",), "t"), Gate.make(2, 3, ("a",), "t"))
+        fig2.gates + (Gate(2, 1, ("a",), "t"), Gate(2, 3, ("a",), "t"))
     )
     assert equivalent(fig2, extended).passed
 
