@@ -13,10 +13,10 @@ Statement forms (one per line, ``#`` starts a comment)::
     not <line>
     cnot <ctrl> <line>
     ccx <c1> <c2> ... <line>
-    v  <c1> [<c2> ...] -> <line>      # k=2, p=1     (square root of NOT)
-    v* <c1> [<c2> ...] -> <line>      # k=2, p=-1
-    w  <c1> [<c2> ...] -> <line>      # k=4, p=1     (fourth root of NOT)
-    w* <c1> [<c2> ...] -> <line>      # k=4, p=-1
+    v  [<c1> ...] -> <line>           # k=2, p=1     (square root of NOT)
+    v* [<c1> ...] -> <line>           # k=2, p=-1
+    w  [<c1> ...] -> <line>           # k=4, p=1     (fourth root of NOT)
+    w* [<c1> ...] -> <line>           # k=4, p=-1
     q k=<K> p=<P> [<c1> ...] -> <line>
     spec <target> = <anf-expr>
 
@@ -27,8 +27,9 @@ identity.  Control expressions in ``spec`` use the Anf grammar
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from functools import cached_property
 from types import MappingProxyType
 
@@ -82,8 +83,7 @@ class Gate:
     def __post_init__(self) -> None:
         if type(self.controls) is not tuple:
             object.__setattr__(self, "controls", tuple(self.controls))
-        for _, err in _gate_problems(self.k, self.p, self.controls, self.target):
-            raise err
+        _gate_rule(self.k, self.p, self.controls, self.target)
         object.__setattr__(self, "p", self.p % (2 * self.k))
 
     @property
@@ -126,17 +126,17 @@ class Circuit:
             raise ParseError("circuit declares no lines")
         declared: set[str] = set()
         for ln in self.lines:
-            for _, err in _line_problems(ln.name, declared):
-                raise err
+            _line_rule(ln.name, declared)
             declared.add(ln.name)
         for i, g in enumerate(self.gates):
-            for _, err in _scope_problems(g.controls, g.target, declared):
-                err.gate_index = i
-                raise err
+            try:
+                _scope_rule((*g.controls, g.target), declared)
+            except CnqError as exc:
+                exc.gate_index = i
+                raise
         targets = set(self.target_names())
         for name, expr in self.specs.items():
-            for _, err in _spec_problems(name, expr, declared, targets):
-                raise err
+            _spec_rule(name, expr, declared, targets)
 
     @cached_property
     def _hash(self) -> int:
@@ -188,78 +188,49 @@ class Circuit:
 
 # -- well-formedness rules ----------------------------------------------------
 #
-# Each rule is one function that lists the problems of one item as
-# (offending name or None, error) pairs, empty in the usual case.  Gate() and
-# Circuit() raise their first problem.  The parser checks each statement
-# against the lines declared so far and raises its first problem at the column
-# of the offending name's token (a bad root's name is "k=" and a bad power's
-# "p=", its ``q`` tokens).
-
-_Problem = tuple[str | None, CnqError]
-_Tokens = Sequence[tuple[str, int]]
+# Each rule is one function that raises the first problem of one item, naming
+# the offending token on the error: a line name, or "k=" / "p=" for a bad root
+# or power.  Gate() and Circuit() call the rules; the parser calls them on
+# each statement against the lines declared so far and turns the token into
+# a column.
 
 
-def _line_problems(name: str, declared: set[str]) -> list[_Problem]:
+def _line_rule(name: str, declared: set[str]) -> None:
     if not _VAR_RE.match(name):
-        return [(name, ParseError(f"invalid line name {name!r}"))]
+        raise ParseError(f"invalid line name {name!r}", token=name)
     if name in declared:
-        return [(name, ParseError(f"line {name!r} already declared"))]
-    return []
+        raise ParseError(f"line {name!r} already declared", token=name)
 
 
-def _scope_problems(controls: tuple[str, ...], target: str, declared: set[str]) -> list[_Problem]:
-    """Every undeclared name of a gate, controls first, then the target."""
-    if target in declared and declared.issuperset(controls):
-        return []
-    return [
-        (name, UndeclaredLineError(f"line {name!r} used before declaration"))
-        for name in (*controls, target)
-        if name not in declared
-    ]
+def _scope_rule(names: Iterable[str], declared: set[str]) -> None:
+    """The first undeclared name: a gate's controls then target, a spec's line or variables."""
+    for name in names:
+        if name not in declared:
+            raise UndeclaredLineError(f"line {name!r} used before declaration", token=name)
 
 
-def _gate_problems(k: int, p: int, controls: tuple[str, ...], target: str) -> list[_Problem]:
+def _gate_rule(k: int, p: int, controls: tuple[str, ...], target: str) -> None:
     """A bad root, a non-integer or zero power, then a duplicate control, then self-control."""
-    distinct = len({*controls, target}) == len(controls) + 1
-    if distinct and _is_power_of_two(k) and k <= MAX_ROOT and isinstance(p, int) and p % (2 * k):
-        return []
-    problems: list[_Problem] = []
     if not _is_power_of_two(k):
-        err = BadRootError(f"root index must be a positive power of two, got {k}")
-        problems.append(("k=", err))
-    elif k > MAX_ROOT:
-        problems.append(("k=", BadRootError(f"root index {k} exceeds the limit 2^20 = {MAX_ROOT}")))
-    elif not isinstance(p, int):
-        problems.append(("p=", ParseError(f"power must be an integer, got {p!r}")))
-    elif p % (2 * k) == 0:
-        problems.append(("p=", ZeroPowerError(f"power {p} is 0 mod {2 * k}: the identity gate")))
-    repeated = next((c for i, c in enumerate(controls) if c in controls[:i]), None)
-    if repeated is not None:
-        problems.append((repeated, ParseError(f"duplicate control on gate targeting {target!r}")))
+        raise BadRootError(f"root index must be a positive power of two, got {k}", token="k=")
+    if k > MAX_ROOT:
+        raise BadRootError(f"root index {k} exceeds the limit 2^20 = {MAX_ROOT}", token="k=")
+    if not isinstance(p, int):
+        raise ParseError(f"power must be an integer, got {p!r}", token="p=")
+    if p % (2 * k) == 0:
+        raise ZeroPowerError(f"power {p} is 0 mod {2 * k}: the identity gate", token="p=")
+    for i, c in enumerate(controls):
+        if c in controls[:i]:
+            raise ParseError(f"duplicate control on gate targeting {target!r}", token=c)
     if target in controls:
-        problems.append((target, SelfControlError(f"line {target!r} controls its own gate")))
-    return problems
+        raise SelfControlError(f"line {target!r} controls its own gate", token=target)
 
 
-def _spec_problems(name: str, expr: Anf, declared: set[str], targets: set[str]) -> list[_Problem]:
-    problems: list[_Problem] = []
-    if name not in declared:
-        problems.append((name, UndeclaredLineError(f"line {name!r} used before declaration")))
-    elif name not in targets:
-        problems.append((name, ParseError(f"spec refers to non-target line {name!r}")))
-    problems += (
-        (v, UndeclaredLineError(f"line {v!r} used before declaration"))
-        for v in sorted(expr.variables())
-        if v not in declared
-    )
-    return problems
-
-
-def _raise_first(problems: list[_Problem], toks: _Tokens) -> None:
-    """Raise the first problem, if any, at the column of its name in ``toks``."""
-    for name, err in problems:
-        err.col = next((c for t, c in toks if t == name), None)
-        raise err
+def _spec_rule(name: str, expr: Anf, declared: set[str], targets: set[str]) -> None:
+    _scope_rule((name,), declared)
+    if name not in targets:
+        raise ParseError(f"spec refers to non-target line {name!r}", token=name)
+    _scope_rule(sorted(expr.variables()), declared)
 
 
 # -- parser -------------------------------------------------------------------
@@ -284,21 +255,27 @@ def _tokenize(body: str) -> list[tuple[str, int]]:
     return out
 
 
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
 def _int_param(tok: tuple[str, int], what: str) -> int:
-    """The integer after ``k=`` or ``p=`` in a ``q`` statement's token."""
+    """The integer after ``k=`` or ``p=`` in a ``q`` statement's token: a sign, ASCII digits."""
     text, col = tok
-    try:
-        return int(text[2:])
-    except ValueError:
-        raise ParseError(f"bad {what} {text[2:]!r}", col=col) from None
+    if _INT_RE.fullmatch(text, 2):
+        try:
+            return int(text[2:])
+        except ValueError:      # more digits than int() converts
+            pass
+    raise ParseError(f"bad {what} {text[2:]!r}", col=col)
 
 
 def _parse_circuit(text: str) -> Circuit:
     """Parse statement by statement: grammar first, then the statement's rules.
 
     Rules see only the lines declared so far, so a name must be declared
-    before it is used.  A statement's errors carry their column; this loop
-    stamps the line number on them.
+    before it is used.  This loop stamps the line number on a statement's
+    error and, unless the error has a column, the column of the first of the
+    statement's arguments that is the error's token.
     """
     lines: list[Line] = []
     declared: set[str] = set()
@@ -311,13 +288,13 @@ def _parse_circuit(text: str) -> Circuit:
         if not body.strip():
             continue
         toks = _tokenize(body)
-        head, hcol = toks[0]
+        (head, hcol), args = toks[0], toks[1:]
         try:
             if head == "line":
                 if len(toks) < 2 or len(toks) > 3:
                     raise ParseError("expected: line <id> [target]", col=hcol)
                 name = toks[1][0]
-                _raise_first(_line_problems(name, declared), toks[1:2])
+                _line_rule(name, declared)
                 is_target = len(toks) == 3
                 if is_target and toks[2][0] != "target":
                     role, rcol = toks[2]
@@ -326,29 +303,29 @@ def _parse_circuit(text: str) -> Circuit:
                 if is_target:
                     targets.add(name)
                 lines.append(Line(name, is_target))
+                continue
 
-            elif head == "spec":
+            if head == "spec":
                 eq = body.find("=")
-                if eq < 0 or len(left := _tokenize(body[:eq])) != 2:
+                if eq < 0 or len(args := _tokenize(body[:eq])[1:]) != 1:
                     raise ParseError("expected: spec <target> = <expr>", col=hcol)
-                name, ncol = left[1]
+                name, ncol = args[0]
                 if name in specs:
                     raise ParseError(f"duplicate spec for line {name!r}", col=ncol)
                 # the name comes first in the text, so its problems come first
-                _raise_first(_spec_problems(name, Anf.zero(), declared, targets), left[1:])
+                _spec_rule(name, Anf.zero(), declared, targets)
                 expr_parser = _ExprParser(body, eq + 1)
+                args += expr_parser.tokens
                 expr = expr_parser.run_anf()
-                _raise_first(_spec_problems(name, expr, declared, targets), expr_parser.tokens)
+                _spec_rule(name, expr, declared, targets)
                 specs[name] = expr
+                continue
 
-            elif head in _NOT_ARITY:
-                args = toks[1:]
+            if head in _NOT_ARITY:
                 fewest, most = _NOT_ARITY[head]
                 if not fewest <= len(args) <= (most or len(args)):
                     raise ParseError(f"malformed {head} statement", col=hcol)
-                ctrls, target = tuple(c for c, _ in args[:-1]), args[-1][0]
-                gates.append(_parse_gate(1, 1, ctrls, target, declared, args))
-
+                k, p, params = 1, 1, args[:-1]
             elif head in _SUGAR or head == "q":
                 arrow = next((i for i, (t, _) in enumerate(toks) if t == "->"), None)
                 if arrow is None or arrow != len(toks) - 2:
@@ -364,37 +341,27 @@ def _parse_circuit(text: str) -> Circuit:
                             "expected: q k=<int> p=<int> [controls] -> <line>", col=hcol
                         )
                     k, p = _int_param(params[0], "root index"), _int_param(params[1], "power")
+                    # the rules name a bad root "k=" and a bad power "p=": these tokens
+                    # stand for them, and a line named like their text is not found here
+                    args[:2] = ("k=", params[0][1]), ("p=", params[1][1])
                     params = params[2:]
                 else:
                     k, p = _SUGAR[head]
-                ctrls, target = tuple(c for c, _ in params), toks[-1][0]
-                # only a q statement can have a bad root or a zero power; they are
-                # reported at its k= and p= tokens
-                located = (("k=", toks[1][1]), ("p=", toks[2][1]), *params, toks[-1])
-                gates.append(_parse_gate(k, p, ctrls, target, declared, located))
-
             else:
                 raise ParseError(f"unknown statement {head!r}", col=hcol)
+            ctrls, target = tuple(c for c, _ in params), args[-1][0]
+            _scope_rule((*ctrls, target), declared)
+            gates.append(Gate(k, p, ctrls, target))
         except CnqError as exc:
             exc.line = lineno
+            if exc.col is None:
+                exc.col = next((c for t, c in args if t == exc.token), None)
             raise
 
     try:
         return Circuit(lines, gates, specs)
     except CnqError as exc:     # every statement passed: the text declares no lines
         exc.line = exc.col = 1
-        raise
-
-
-def _parse_gate(
-    k: int, p: int, ctrls: tuple[str, ...], target: str, declared: set[str], toks: _Tokens
-) -> Gate:
-    """The statement's gate, or its first problem of scope, then of shape, at its token."""
-    _raise_first(_scope_problems(ctrls, target, declared), toks)
-    try:
-        return Gate(k, p, ctrls, target)
-    except CnqError:
-        _raise_first(_gate_problems(k, p, ctrls, target), toks)
         raise
 
 

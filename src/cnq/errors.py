@@ -9,7 +9,11 @@ from __future__ import annotations
 
 
 class CnqError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    A circuit rule's error names its ``token``: the offending line name, or
+    ``"k="``/``"p="`` for a gate's root and power.  The parser turns it into a column.
+    """
 
     code = "E_ERROR"
 
@@ -20,11 +24,13 @@ class CnqError(Exception):
         line: int | None = None,
         col: int | None = None,
         gate_index: int | None = None,
+        token: str | None = None,
     ):
         self.message = message
         self.line = line
         self.col = col
         self.gate_index = gate_index
+        self.token = token
         super().__init__(message)
 
     def __str__(self) -> str:

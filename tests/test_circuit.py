@@ -22,10 +22,10 @@ from cnq import (
 
 from cnq.circuit import (
     MAX_ROOT,
-    _gate_problems,
-    _line_problems,
-    _scope_problems,
-    _spec_problems,
+    _gate_rule,
+    _line_rule,
+    _scope_rule,
+    _spec_rule,
 )
 
 from conftest import fixture_path, load
@@ -120,6 +120,12 @@ def test_fixtures_round_trip(name):
         ("line a\nline t target\nspec t = t ^ (a & q)", UndeclaredLineError, (3, 19)),
         # the name's problem comes before the malformed expression
         ("line a\nspec a = (", ParseError, (2, 6)),
+        # an offending name is located on the statement's arguments: not on the
+        # k=2 token, not on the head, and inside a glued spec expression
+        ("line k\nline t target\nq k=2 p=1 k k -> t", ParseError, (3, 11)),
+        ("line ccx\nline t target\nccx ccx ccx t", ParseError, (3, 5)),
+        ("line t target\nspec t = t^q", UndeclaredLineError, (2, 12)),
+        ("line a\nspec a=a", ParseError, (2, 6)),
     ],
 )
 def test_parse_errors_carry_location(text, err, loc):
@@ -339,19 +345,26 @@ def _text(lines, gates, specs):
 
 
 def _codes(lines, gates, specs):
-    """The code of every problem the rules find in the parts."""
-    problems = [] if lines else [ParseError("circuit declares no lines")]
+    """The code of the first problem each rule raises on each part."""
+    codes = set() if lines else {ParseError.code}
+
+    def check(rule, *args):
+        try:
+            rule(*args)
+        except CnqError as err:
+            codes.add(err.code)
+
     declared = set()
     for ln in lines:
-        problems += (err for _, err in _line_problems(ln.name, declared))
+        check(_line_rule, ln.name, declared)
         declared.add(ln.name)
     for k, p, ctrls, target in gates:
-        problems += (err for _, err in _scope_problems(ctrls, target, declared))
-        problems += (err for _, err in _gate_problems(k, p, ctrls, target))
+        check(_scope_rule, (*ctrls, target), declared)
+        check(_gate_rule, k, p, ctrls, target)
     targets = {ln.name for ln in lines if ln.is_target}
     for name, expr in specs.items():
-        problems += (err for _, err in _spec_problems(name, expr, declared, targets))
-    return {err.code for err in problems}
+        check(_spec_rule, name, expr, declared, targets)
+    return codes
 
 
 def _outcome(build):
@@ -385,33 +398,63 @@ _GATES = (
 )
 
 
-def _first(problems):
-    return [(err.code, err.message) for _, err in problems[:1]]
+def _first(*rules):
+    """The (code, message) of the first problem the rules raise, in turn, or None."""
+    for rule in rules:
+        try:
+            rule()
+        except CnqError as err:
+            return err.code, err.message
+    return None
 
 
-@given(*_GATES)
-def test_gate_make_raises_the_first_gate_problem(k, p, controls, target):
-    problems = _gate_problems(k, p, controls, target)
-    try:
-        g = Gate(k, p, controls, target)
-    except CnqError as exc:
-        assert [(exc.code, exc.message)] == _first(problems)
-        return
-    assert not problems
-    assert 0 < g.p < 2 * g.k
+@pytest.mark.parametrize(
+    "gate,code,token",
+    [
+        ((3, 0, ("a", "a"), "a"), "E_BAD_K", "k="),
+        ((2, 4, ("a", "a"), "a"), "E_ZERO_POWER", "p="),
+        ((2, 1, ("a", "a"), "a"), "E_SYNTAX", "a"),
+        ((2, 1, ("a",), "a"), "E_SELF_CONTROL", "a"),
+    ],
+    ids=["bad-root", "zero-power", "duplicate-control", "self-control"],
+)
+def test_gate_raises_its_first_problem_in_rule_order(gate, code, token):
+    with pytest.raises(CnqError) as e:
+        Gate(*gate)
+    assert (e.value.code, e.value.token) == (code, token)
 
 
 @given(*_GATES, st.sets(_NAMES))
 def test_parser_raises_the_first_gate_problem(k, p, controls, target, declared):
-    problems = _scope_problems(controls, target, declared) or _gate_problems(k, p, controls, target)
+    first = _first(
+        lambda: _scope_rule((*controls, target), declared),
+        lambda: _gate_rule(k, p, controls, target),
+    )
     text = "".join(f"line {name}\n" for name in sorted(declared))
     text += f"q k={k} p={p} {' '.join(controls)} -> {target}\n"
     try:
-        Circuit.parse(text)
+        (g,) = Circuit.parse(text).gates
     except CnqError as exc:
-        assert [(exc.code, exc.message)] == _first(problems)
+        assert (exc.code, exc.message) == first
         return
-    assert not problems
+    assert first is None
+    assert 0 < g.p < 2 * g.k
+
+
+@pytest.mark.parametrize(
+    "statement,col,message",
+    [
+        ("q k=2 p=1_1 a -> t", 7, "bad power '1_1'"),   # a digit separator
+        ("q k=\u0663 p=1 a -> t", 3, "bad root index '\u0663'"),   # an Arabic-Indic 3
+        ("q k=2 p=" + "1" * 5000 + " a -> t", 7, f"bad power '{'1' * 5000}'"),  # beyond int()
+    ],
+    ids=["digit-separator", "non-ascii-digit", "too-many-digits"],
+)
+def test_q_integers_are_a_sign_and_ascii_digits(statement, col, message):
+    with pytest.raises(ParseError) as e:
+        Circuit.parse(f"line a\nline t target\n{statement}")
+    assert (e.value.line, e.value.col, e.value.message) == (3, col, message)
+    assert Circuit.parse("line a\nline t target\nq k=+2 p=-1 a -> t").gates == (Gate(2, 3, ("a",), "t"),)
 
 
 # -- gate census ---------------------------------------------------------------------
