@@ -82,6 +82,8 @@ class Gate:
 
     def __post_init__(self) -> None:
         if type(self.controls) is not tuple:
+            if isinstance(self.controls, str):
+                raise ParseError(f"controls must be a tuple of line names, got {self.controls!r}")
             object.__setattr__(self, "controls", tuple(self.controls))
         _gate_rule(self.k, self.p, self.controls, self.target)
         object.__setattr__(self, "p", self.p % (2 * self.k))
@@ -196,7 +198,7 @@ class Circuit:
 
 
 def _line_rule(name: str, declared: set[str]) -> None:
-    if not _VAR_RE.match(name):
+    if not isinstance(name, str) or not _VAR_RE.match(name):
         raise ParseError(f"invalid line name {name!r}", token=name)
     if name in declared:
         raise ParseError(f"line {name!r} already declared", token=name)
@@ -230,52 +232,46 @@ def _spec_rule(name: str, expr: Anf, declared: set[str], targets: set[str]) -> N
     _scope_rule((name,), declared)
     if name not in targets:
         raise ParseError(f"spec refers to non-target line {name!r}", token=name)
+    if not isinstance(expr, Anf):
+        raise ParseError(f"spec for line {name!r} is not an Anf: {expr!r}", token=name)
     _scope_rule(sorted(expr.variables()), declared)
 
 
 # -- parser -------------------------------------------------------------------
 
 
-def _tokenize(body: str) -> list[tuple[str, int]]:
-    """Whitespace-split tokens with 1-based columns; '->' splits off neighbours."""
-    out: list[tuple[str, int]] = []
-    col = 0
-    for raw in body.split():
-        col = body.index(raw, col)
-        piece, at = raw, col
-        while "->" in piece:
-            j = piece.index("->")
-            if j:
-                out.append((piece[:j], at + 1))
-            out.append(("->", at + j + 1))
-            piece, at = piece[j + 2 :], at + j + 2
-        if piece:
-            out.append((piece, at + 1))
-        col += len(raw)
-    return out
+def _columns(body: str, toks: list[str]) -> list[int]:
+    """The 1-based column of each of a statement's tokens, in order: only an error needs them."""
+    cols, at = [], 0
+    for tok in toks:
+        at = body.index(tok, at)
+        cols.append(at + 1)
+        at += len(tok)
+    return cols
 
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
-def _int_param(tok: tuple[str, int], what: str) -> int:
+def _int_param(text: str, what: str) -> int:
     """The integer after ``k=`` or ``p=`` in a ``q`` statement's token: a sign, ASCII digits."""
-    text, col = tok
     if _INT_RE.fullmatch(text, 2):
         try:
             return int(text[2:])
         except ValueError:      # more digits than int() converts
             pass
-    raise ParseError(f"bad {what} {text[2:]!r}", col=col)
+    raise ParseError(f"bad {what} {text[2:]!r}", token=text)
 
 
 def _parse_circuit(text: str) -> Circuit:
     """Parse statement by statement: grammar first, then the statement's rules.
 
-    Rules see only the lines declared so far, so a name must be declared
-    before it is used.  This loop stamps the line number on a statement's
-    error and, unless the error has a column, the column of the first of the
-    statement's arguments that is the error's token.
+    A statement is split into plain strings on whitespace, with ``->`` split
+    off its neighbours.  Rules see only the lines declared so far, so a name
+    must be declared before it is used.  Columns are computed only for an
+    error: this loop stamps the line number on a statement's error and,
+    unless the error has a column, the column of the first of the statement's
+    arguments that is the error's token, or else of the statement's head.
     """
     lines: list[Line] = []
     declared: set[str] = set()
@@ -285,20 +281,22 @@ def _parse_circuit(text: str) -> Circuit:
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0]
-        if not body.strip():
+        toks = body.replace("->", " -> ").split()
+        if not toks:
             continue
-        toks = _tokenize(body)
-        (head, hcol), args = toks[0], toks[1:]
+        head, args = toks[0], toks[1:]
         try:
             if head == "line":
-                if len(toks) < 2 or len(toks) > 3:
-                    raise ParseError("expected: line <id> [target]", col=hcol)
-                name = toks[1][0]
+                if not 1 <= len(args) <= 2:
+                    raise ParseError("expected: line <id> [target]")
+                name = args[0]
                 _line_rule(name, declared)
-                is_target = len(toks) == 3
-                if is_target and toks[2][0] != "target":
-                    role, rcol = toks[2]
-                    raise ParseError(f"expected 'target' or end of line, got {role!r}", col=rcol)
+                is_target = len(args) == 2
+                if is_target and args[1] != "target":
+                    raise ParseError(
+                        f"expected 'target' or end of line, got {args[1]!r}",
+                        col=_columns(body, toks)[2],
+                    )
                 declared.add(name)
                 if is_target:
                     targets.add(name)
@@ -307,55 +305,55 @@ def _parse_circuit(text: str) -> Circuit:
 
             if head == "spec":
                 eq = body.find("=")
-                if eq < 0 or len(args := _tokenize(body[:eq])[1:]) != 1:
-                    raise ParseError("expected: spec <target> = <expr>", col=hcol)
-                name, ncol = args[0]
+                if eq < 0 or len(args := body[:eq].replace("->", " -> ").split()[1:]) != 1:
+                    raise ParseError("expected: spec <target> = <expr>")
+                name = args[0]
                 if name in specs:
-                    raise ParseError(f"duplicate spec for line {name!r}", col=ncol)
+                    raise ParseError(f"duplicate spec for line {name!r}", token=name)
                 # the name comes first in the text, so its problems come first
                 _spec_rule(name, Anf.zero(), declared, targets)
                 expr_parser = _ExprParser(body, eq + 1)
-                args += expr_parser.tokens
                 expr = expr_parser.run_anf()
-                _spec_rule(name, expr, declared, targets)
+                try:
+                    _spec_rule(name, expr, declared, targets)
+                except CnqError as exc:     # an undeclared variable: on the expression's tokens
+                    exc.col = next(c for t, c in expr_parser.tokens if t == exc.token)
+                    raise
                 specs[name] = expr
                 continue
 
             if head in _NOT_ARITY:
                 fewest, most = _NOT_ARITY[head]
                 if not fewest <= len(args) <= (most or len(args)):
-                    raise ParseError(f"malformed {head} statement", col=hcol)
-                k, p, params = 1, 1, args[:-1]
+                    raise ParseError(f"malformed {head} statement")
+                k, p, ctrls = 1, 1, tuple(args[:-1])
             elif head in _SUGAR or head == "q":
-                arrow = next((i for i, (t, _) in enumerate(toks) if t == "->"), None)
-                if arrow is None or arrow != len(toks) - 2:
-                    raise ParseError("expected: ... -> <line> with exactly one target", col=hcol)
-                params = toks[1:arrow]
+                if "->" not in args or args.index("->") != len(args) - 2:
+                    raise ParseError("expected: ... -> <line> with exactly one target")
+                ctrls = tuple(args[:-2])
                 if head == "q":
                     if (
-                        len(params) < 2
-                        or not params[0][0].startswith("k=")
-                        or not params[1][0].startswith("p=")
+                        len(ctrls) < 2
+                        or not ctrls[0].startswith("k=")
+                        or not ctrls[1].startswith("p=")
                     ):
-                        raise ParseError(
-                            "expected: q k=<int> p=<int> [controls] -> <line>", col=hcol
-                        )
-                    k, p = _int_param(params[0], "root index"), _int_param(params[1], "power")
+                        raise ParseError("expected: q k=<int> p=<int> [controls] -> <line>")
+                    k, p = _int_param(ctrls[0], "root index"), _int_param(ctrls[1], "power")
                     # the rules name a bad root "k=" and a bad power "p=": these tokens
                     # stand for them, and a line named like their text is not found here
-                    args[:2] = ("k=", params[0][1]), ("p=", params[1][1])
-                    params = params[2:]
+                    args[:2] = "k=", "p="
+                    ctrls = ctrls[2:]
                 else:
                     k, p = _SUGAR[head]
             else:
-                raise ParseError(f"unknown statement {head!r}", col=hcol)
-            ctrls, target = tuple(c for c, _ in params), args[-1][0]
-            _scope_rule((*ctrls, target), declared)
-            gates.append(Gate(k, p, ctrls, target))
+                raise ParseError(f"unknown statement {head!r}")
+            _scope_rule((*ctrls, args[-1]), declared)
+            gates.append(Gate(k, p, ctrls, args[-1]))
         except CnqError as exc:
             exc.line = lineno
             if exc.col is None:
-                exc.col = next((c for t, c in args if t == exc.token), None)
+                cols = _columns(body, toks)
+                exc.col = cols[args.index(exc.token) + 1] if exc.token in args else cols[0]
             raise
 
     try:

@@ -126,6 +126,13 @@ def test_fixtures_round_trip(name):
         ("line ccx\nline t target\nccx ccx ccx t", ParseError, (3, 5)),
         ("line t target\nspec t = t^q", UndeclaredLineError, (2, 12)),
         ("line a\nspec a=a", ParseError, (2, 6)),
+        # columns count characters of the statement as written: tabs, runs of
+        # spaces, Unicode whitespace and arrows glued to their neighbours
+        ("line a\nline t target\nv\ta->z", UndeclaredLineError, (3, 6)),
+        ("line a\nline t target\nw*  a->z", UndeclaredLineError, (3, 8)),
+        ("line a\nline t target\nv a-->t", UndeclaredLineError, (3, 3)),
+        ("line a\nline t target\ncnot\u00a0a z", UndeclaredLineError, (3, 8)),
+        ("line a\nline t target\nq  k=3\tp=1 a -> t", BadRootError, (3, 4)),
     ],
 )
 def test_parse_errors_carry_location(text, err, loc):
@@ -141,7 +148,9 @@ _NAME_AT = re.compile(r"(?<![A-Za-z0-9_])[A-Za-z_][A-Za-z0-9_]*")
 
 
 def test_undeclared_lines_are_located_on_their_name():
-    """Seeded mutations of the fixtures: rename one identifier or swap two lines."""
+    """Seeded mutations of the fixtures: rename one identifier or swap two lines,
+    then perhaps respace the row: a tab or a run of spaces for one space, or
+    the spaces around an arrow removed."""
     rng = random.Random(9)
     texts = [fixture_path(name).read_text().splitlines() for name in FIGS]
     located = set()
@@ -155,6 +164,13 @@ def test_undeclared_lines_are_located_on_their_name():
         else:
             j = rng.randrange(len(rows))
             rows[i], rows[j] = rows[j], rows[i]
+        spaces = [m.start() for m in re.finditer(" ", rows[i])]
+        if spaces and rng.random() < 0.5:
+            if rng.random() < 0.3:
+                rows[i] = rows[i].replace(" -> ", "->")
+            else:
+                at = rng.choice(spaces)
+                rows[i] = rows[i][:at] + rng.choice(("\t", "   ")) + rows[i][at + 1 :]
         try:
             Circuit.parse("\n".join(rows))
         except UndeclaredLineError as e:
@@ -228,6 +244,20 @@ _LINES = (Line("a"), Line("t", True))
         (lambda: Gate(2, 1.5, ("a",), "t"), "E_SYNTAX: power must be an integer, got 1.5"),
         (lambda: Gate(1, 1, ("a", "a"), "t"), "E_SYNTAX: duplicate control on gate targeting 't'"),
         (lambda: Gate(1, 1, ("t",), "t"), "E_SELF_CONTROL: line 't' controls its own gate"),
+        # a string is refused, not split into one-letter controls
+        (
+            lambda: Gate(2, 1, "ab", "t"),
+            "E_SYNTAX: controls must be a tuple of line names, got 'ab'",
+        ),
+        (
+            lambda: Gate(1, 1, "ctrl", "t"),
+            "E_SYNTAX: controls must be a tuple of line names, got 'ctrl'",
+        ),
+        (lambda: Circuit((Line(3),)), "E_SYNTAX: invalid line name 3"),
+        (
+            lambda: Circuit(_LINES, (), {"t": "t ^ a"}),
+            "E_SYNTAX: spec for line 't' is not an Anf: 't ^ a'",
+        ),
         (
             lambda: Circuit(_LINES, (Gate(1, 1, (), "t"), Gate(1, 1, ("z",), "t"))),
             "gate 1: E_UNDECLARED_LINE: line 'z' used before declaration",
@@ -268,7 +298,8 @@ _LINES = (Line("a"), Line("t", True))
     ],
     ids=[
         "no-lines", "bad-name", "duplicate-line", "bad-root", "zero-power", "non-integer-power",
-        "duplicate-control", "self-control", "undeclared-control", "undeclared-target",
+        "duplicate-control", "self-control", "string-controls", "string-control",
+        "non-string-name", "text-spec", "undeclared-control", "undeclared-target",
         "spec-on-control", "spec-on-undeclared", "spec-variable-undeclared",
         "lines-first", "gates-before-specs", "replace", "with-gates",
     ],
