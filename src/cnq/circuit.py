@@ -271,7 +271,8 @@ def _parse_circuit(text: str) -> Circuit:
     must be declared before it is used.  Columns are computed only for an
     error: this loop stamps the line number on a statement's error and,
     unless the error has a column, the column of the first of the statement's
-    arguments that is the error's token, or else of the statement's head.
+    arguments that is the error's token (a ``q``'s root and power are looked
+    at last), or else of the statement's head.
     """
     lines: list[Line] = []
     declared: set[str] = set()
@@ -285,6 +286,7 @@ def _parse_circuit(text: str) -> Circuit:
         if not toks:
             continue
         head, args = toks[0], toks[1:]
+        lead = 0                    # leading arguments that are not lines
         try:
             if head == "line":
                 if not 1 <= len(args) <= 2:
@@ -340,8 +342,9 @@ def _parse_circuit(text: str) -> Circuit:
                         raise ParseError("expected: q k=<int> p=<int> [controls] -> <line>")
                     k, p = _int_param(ctrls[0], "root index"), _int_param(ctrls[1], "power")
                     # the rules name a bad root "k=" and a bad power "p=": these tokens
-                    # stand for them, and a line named like their text is not found here
+                    # stand for them, looked for after the lines, which may be written so
                     args[:2] = "k=", "p="
+                    lead = 2
                     ctrls = ctrls[2:]
                 else:
                     k, p = _SUGAR[head]
@@ -353,7 +356,8 @@ def _parse_circuit(text: str) -> Circuit:
             exc.line = lineno
             if exc.col is None:
                 cols = _columns(body, toks)
-                exc.col = cols[args.index(exc.token) + 1] if exc.token in args else cols[0]
+                order = [*range(lead, len(args)), *range(lead)]
+                exc.col = cols[1 + next((i for i in order if args[i] == exc.token), -1)]
             raise
 
     try:

@@ -1,12 +1,13 @@
 """Complex-matrix oracle for the symbolic calculus.
 
 The simulation side knows nothing about the exponent calculus: gates are
-applied as 2x2 complex matrices under basis-state controls.  ``simulate``
-runs one basis input on a dense statevector of 2^n amplitudes.
-``_sweep`` runs every basis input at once: a line stays a column of bits
-until a gate could put it in superposition, and from then on it is one
-axis of a joint block of amplitudes that all such lines share, so
-entangled states are simulated exactly.
+applied as 2x2 complex matrices under basis-state controls, by one in-place
+update of the target axis (``_update``).  ``simulate`` runs one basis input
+on a dense statevector of 2^n amplitudes.  ``_sweep`` runs every basis
+input at once: a line stays a column of bits until a gate could put it in
+superposition, and from then on it is one axis of a joint block of
+amplitudes that all such lines share, so entangled states are simulated
+exactly.
 
 ``cross_check`` is the bridge: it compares the swept states on every
 basis input with the tensor product predicted by an evaluation report,
@@ -48,17 +49,22 @@ def _check_root(k: int) -> None:
         raise BadRootError(f"root index must be a positive integer, got {k}")
 
 
-def q_matrix(k: int, p: int) -> np.ndarray:
-    """The 2x2 matrix of Q^p where Q is the k-th root of NOT.
+def _turn(k: int, p):
+    """The entries ``d, o`` of Q^p = [[d, o], [o, d]], Q the k-th root of NOT.
 
     Q's eigenvectors are those of NOT with eigenvalues 1 and exp(i*pi/k),
-    which gives the closed form below.  p may be any integer; p = k yields
-    NOT and p = 2k the identity.
+    which gives the closed form below.  p may be any integer, or an integer
+    array for one pair of entries per element; p = k yields NOT and p = 2k
+    the identity.
     """
+    w = np.exp(1j * np.pi * (p % (2 * k)) / k)
+    return (1 + w) / 2, (1 - w) / 2
+
+
+def q_matrix(k: int, p: int) -> np.ndarray:
+    """The 2x2 matrix of Q^p where Q is the k-th root of NOT."""
     _check_root(k)
-    w = np.exp(1j * np.pi * p / k)
-    d = (1 + w) / 2
-    o = (1 - w) / 2
+    d, o = _turn(k, p)
     return np.array([[d, o], [o, d]], dtype=np.complex128)
 
 
@@ -102,20 +108,35 @@ class StateVector:
         )
 
 
+def _update(amps: np.ndarray, axis, controls, target: str, o) -> None:
+    """Apply Q^p = [[d, o], [o, d]] in place to ``target``'s axis where every control is 1.
+
+    ``axis`` maps a line name to its axis of ``amps``.  ``o`` is a scalar,
+    or an array that broadcasts over the selected slices.  Each control
+    and the target is selected by a length-one slice, so the two slices
+    stay views that keep every axis, even when every axis is fixed.
+    d + o = 1, so the update is lo -= o*(lo - hi), hi += o*(lo - hi): one
+    slice-sized temporary, written back through the views.
+    """
+    sel: list = [slice(None)] * amps.ndim
+    for c in controls:
+        sel[axis(c)] = slice(1, 2)
+    t_ax = axis(target)
+    sel[t_ax] = slice(0, 1)
+    lo = amps[tuple(sel)]
+    sel[t_ax] = slice(1, 2)
+    hi = amps[tuple(sel)]
+    step = lo - hi
+    step *= o
+    lo -= step
+    hi += step
+
+
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply Q^p on the target axis of every control-satisfying amplitude."""
-    sel: list = [slice(None)] * len(state.lines)
-    for c in gate.controls:
-        sel[state.line_axis(c)] = 1
-    t_ax = state.line_axis(gate.target)
-    d, o = q_matrix(gate.k, gate.p)[0]
     out = state.amps.copy()
-    amps = out.reshape((2,) * len(state.lines))
-    sel[t_ax] = 0
-    lo = tuple(sel)
-    sel[t_ax] = 1
-    hi = tuple(sel)
-    amps[lo], amps[hi] = d * amps[lo] + o * amps[hi], o * amps[lo] + d * amps[hi]
+    _, o = _turn(gate.k, gate.p)
+    _update(out.reshape((2,) * len(state.lines)), state.line_axis, gate.controls, gate.target, o)
     return StateVector(state.lines, out)
 
 
@@ -205,53 +226,32 @@ def _sweep(circuit: Circuit, rows: range) -> _Sweep:
     A NOT-family gate on classical lines XORs its control product into the
     target's bits.  Any other gate first activates a classical target,
     splitting the block on the target's bit into one new array, then
-    applies the two-slice update of ``apply_gate`` in place (``_two_slice``)
-    to the rows where its classical controls hold and to the ``1`` slice
-    of each active control's axis.
+    applies ``_update`` in place to the block, selecting the ``1`` slice
+    of each active control's axis; rows whose classical controls fail get
+    o = 0, which leaves them as they are.
     """
     bits = _input_bits(circuit.line_names, rows)
     size = len(rows)
-    active: list[str] = []
+    axis: dict[str, int] = {}       # each active line's axis of the block, in order
     block = np.ones((size, 1), dtype=np.complex128)
     for g in circuit.gates:
-        if _stays_classical(g, active):
+        if _stays_classical(g, axis):
             bits[g.target] = bits[g.target] ^ _and(bits, g.controls, size)
             continue
-        if g.target not in active:
+        if g.target not in axis:
             col = bits.pop(g.target)[:, None]
             grown = np.empty((size, block.shape[1], 2), dtype=np.complex128)
             np.multiply(block, ~col, out=grown[:, :, 0])
             np.multiply(block, col, out=grown[:, :, 1])
             block = grown.reshape(size, -1)
-            active.append(g.target)
-        sel: list = [slice(None)] * (1 + len(active))
-        for c in g.controls:
-            if c in active:
-                sel[1 + active.index(c)] = 1
-        amps = block.reshape((size,) + (2,) * len(active))
-        t_ax = 1 + active.index(g.target)
-        sel[t_ax] = 0
-        lo = amps[tuple(sel)]
-        sel[t_ax] = 1
-        o = q_matrix(g.k, g.p)[0, 1]
+            axis[g.target] = 1 + len(axis)
+        _, o = _turn(g.k, g.p)
         classical = [c for c in g.controls if c in bits]
-        if classical:             # rows whose classical controls fail get o = 0
-            held = _and(bits, classical, size)
-            o = np.where(held, o, 0).reshape((size,) + (1,) * (lo.ndim - 1))
-        _two_slice(lo, amps[tuple(sel)], o)
-    return _Sweep(bits, tuple(active), block)
-
-
-def _two_slice(lo: np.ndarray, hi: np.ndarray, o) -> None:
-    """Apply Q^p = [[d, o], [o, d]] to the slice pair in place.
-
-    d + o = 1, so the update is lo -= o*(lo - hi), hi += o*(lo - hi): one
-    slice-sized temporary, written back through the views.
-    """
-    step = lo - hi
-    step *= o
-    lo -= step
-    hi += step
+        if classical:
+            o = np.where(_and(bits, classical, size), o, 0).reshape((size,) + (1,) * len(axis))
+        amps = block.reshape((size,) + (2,) * len(axis))
+        _update(amps, axis.__getitem__, [c for c in g.controls if c in axis], g.target, o)
+    return _Sweep(bits, tuple(axis), block)
 
 
 # -- the prediction --------------------------------------------------------------
@@ -265,27 +265,23 @@ def _predict(state: TargetState, inputs: dict[str, np.ndarray], size: int):
     for mono, c in state.exponent.terms.items():
         if c % (2 * k):
             e += (c % (2 * k)) * _and(inputs, mono, size)
-    w = np.exp(1j * np.pi * (e % (2 * k)) / k)
-    d = (1 + w) / 2
-    o = (1 - w) / 2
+    d, o = _turn(k, e)
     base = np.zeros(size, dtype=bool)
     for mono in state.base.monomials:
         base ^= _and(inputs, mono, size)
     return np.where(base, o, d), np.where(base, d, o)
 
 
-def _flagged(circuit: Circuit, states, rows: range, delta: float) -> np.ndarray:
+def _flagged(circuit: Circuit, rows: range, preds, delta: float) -> np.ndarray:
     """Which inputs in ``rows`` have a factor off its prediction by more than delta.
 
-    The predicted product of the active lines is subtracted from the swept
+    ``preds`` holds each line's predicted columns over ``rows``.  The
+    predicted product of the active lines is subtracted from the swept
     block in place, its last factor one slice at a time, so besides the
     block only a half-block temporary is ever held.
     """
-    names = circuit.line_names
     bits, active, block = _sweep(circuit, rows)
-    inputs = _input_bits(names, rows)
     size = len(rows)
-    preds = {name: _predict(st, inputs, size) for name, st in zip(names, states)}
     flagged = np.zeros(size, dtype=bool)
     for name, bit in bits.items():
         p0, p1 = preds[name]
@@ -300,16 +296,6 @@ def _flagged(circuit: Circuit, states, rows: range, delta: float) -> np.ndarray:
             halves[:, :, b] -= joint * pred[:, None]
         flagged |= np.max(np.abs(block), axis=1) > delta
     return flagged
-
-
-def _dense_error(circuit: Circuit, states, point: dict[str, int], guard: int) -> float:
-    """The largest amplitude error of one input, by dense simulation."""
-    sim = simulate(circuit, point, guard=guard).amps
-    pred = np.ones(1, dtype=np.complex128)
-    for st in states:
-        e = st.exponent.evaluate(point) % (2 * st.k_root)
-        pred = np.outer(pred, q_matrix(st.k_root, e)[:, st.base.evaluate(point)]).ravel()
-    return float(np.max(np.abs(sim - pred)))
 
 
 def cross_check(
@@ -331,10 +317,10 @@ def cross_check(
     is off by more than delta = atol / (2(n+1)), the dense error is at most
     (1+delta)^n - 1 + delta < atol, so only flagged inputs can fail (this
     needs atol far above rounding error, as 1e-9 is).  Each flagged input
-    is re-run through dense ``simulate`` in counting order, and the first
-    whose error exceeds atol is the witness.  A passing check never calls
-    ``simulate``.  Circuits above ``guard`` lines are refused before any
-    work.
+    is re-run through dense ``simulate`` in counting order against the
+    chunk's own predictions, and the first whose error exceeds atol is the
+    witness.  A passing check never calls ``simulate``.  Circuits above
+    ``guard`` lines are refused before any work.
     """
     names = circuit.line_names
     if set(report.outcomes) != set(names):
@@ -352,11 +338,15 @@ def cross_check(
     chunk = max(1, _CHUNK_AMPS >> len(_active_lines(circuit)))
     for start in range(0, 1 << n, chunk):
         rows = range(start, min(start + chunk, 1 << n))
-        for r in np.flatnonzero(_flagged(circuit, states, rows, delta)):
-            i = start + int(r)
-            point = {name: (i >> (n - 1 - j)) & 1 for j, name in enumerate(names)}
-            err = _dense_error(circuit, states, point, guard)
+        inputs = _input_bits(names, rows)
+        preds = {name: _predict(st, inputs, len(rows)) for name, st in zip(names, states)}
+        for r in np.flatnonzero(_flagged(circuit, rows, preds, delta)):
+            point = {name: int(inputs[name][r]) for name in names}
+            pred = np.ones(1, dtype=np.complex128)
+            for p0, p1 in preds.values():
+                pred = np.outer(pred, (p0[r], p1[r])).ravel()
+            err = float(np.max(np.abs(simulate(circuit, point, guard=guard).amps - pred)))
             if err > CROSS_CHECK_ATOL:
                 detail = f"max amplitude error {err:.3e} exceeds {CROSS_CHECK_ATOL:g}"
-                return CrossCheckResult(False, i + 1, point, detail)
+                return CrossCheckResult(False, start + int(r) + 1, point, detail)
     return CrossCheckResult(True, 1 << n)

@@ -133,6 +133,11 @@ def test_fixtures_round_trip(name):
         ("line a\nline t target\nv a-->t", UndeclaredLineError, (3, 3)),
         ("line a\nline t target\ncnot\u00a0a z", UndeclaredLineError, (3, 8)),
         ("line a\nline t target\nq  k=3\tp=1 a -> t", BadRootError, (3, 4)),
+        # an undeclared line written k= or p= is located on itself, after the
+        # k= and p= arguments that stand for a bad root and power
+        ("line a\nline t target\nq k=2 p=1 k= -> t", UndeclaredLineError, (3, 11)),
+        ("line a\nline t target\nq k=2 p=1 a p= -> t", UndeclaredLineError, (3, 13)),
+        ("line a\nline t target\nq k=2 p=1 a -> k=", UndeclaredLineError, (3, 16)),
     ],
 )
 def test_parse_errors_carry_location(text, err, loc):

@@ -1,5 +1,6 @@
 """Dense statevector oracle: gate matrices, simulation, cross-checking."""
 
+import json
 import random
 import tracemalloc
 from dataclasses import replace
@@ -201,6 +202,10 @@ def test_cross_check_catches_wrong_report(fig2):
     assert not result.passed
     assert result.witness == {"a": 0, "b": 1, "c": 0, "t": 0}
     assert "amplitude error" in result.detail
+    # np.bool_ == 1 holds too: the CLI's JSON needs Python ints
+    assert all(type(v) is int for v in result.witness.values())
+    assert type(result.inputs_checked) is int
+    json.dumps(result.to_dict())
 
 
 def test_cross_check_refuses_circuits_beyond_the_simulation_guard():
@@ -230,6 +235,24 @@ def test_cross_check_separates_adjacent_exponents_at_the_root_limit():
     result = cross_check(c, off)
     assert not result.passed
     assert result.witness == {"a": 1, "t": 0}
+
+
+def test_a_flagged_input_that_passes_dense_confirmation_is_cleared(monkeypatch):
+    # with atol = 5e-6, exponent 2*a for a at k = 2^20 is off by more than delta
+    # = atol / 6 on both inputs with a = 1, yet within atol on the dense check
+    c = Circuit.parse(f"line a\nline t target\nq k={MAX_ROOT} p=1 a -> t\n")
+    off = _mutate(evaluate(c), "t", exponent=MlPoly.parse("2*a"))
+    monkeypatch.setattr(oracle, "CROSS_CHECK_ATOL", 5e-6)
+    points, dense = [], oracle.simulate
+
+    def simulate_and_record(circuit, point, **kw):
+        points.append(point)
+        return dense(circuit, point, **kw)
+
+    monkeypatch.setattr(oracle, "simulate", simulate_and_record)
+    result = cross_check(c, off)
+    assert result.passed and result.inputs_checked == 4
+    assert points == [{"a": 1, "t": 0}, {"a": 1, "t": 1}]
 
 
 # -- the all-inputs sweep ---------------------------------------------------------
