@@ -93,10 +93,17 @@ class StateVector:
             raise UnknownLineError(f"state has no line {name!r}") from None
 
     def amplitudes(self) -> dict[str, complex]:
-        """The amplitudes of modulus at least 1e-12, keyed by basis bits."""
+        """The amplitudes of modulus at least 1e-12, keyed by basis bits.
+
+        Each part is rounded to 12 decimals and a zero loses its sign
+        (adding 0.0 turns -0.0 into 0.0), so what ``dump`` and
+        ``cnq simulate --format structured`` print does not depend on the
+        order of the floating-point sums behind it.
+        """
         n = len(self.lines)
         return {
-            format(idx, f"0{n}b"): amp
+            format(idx, f"0{n}b"):
+                complex(round(amp.real, 12) + 0.0, round(amp.imag, 12) + 0.0)
             for idx, amp in enumerate(self.amps)
             if abs(amp) >= 1e-12
         }
@@ -220,18 +227,17 @@ def _active_lines(circuit: Circuit) -> list[str]:
     return active
 
 
-def _sweep(circuit: Circuit, rows: range) -> _Sweep:
-    """Run the circuit on the basis inputs with indices in ``rows`` at once.
+def _sweep(circuit: Circuit, inputs: dict[str, np.ndarray], size: int) -> _Sweep:
+    """Run the circuit at once on the ``size`` basis inputs whose bits ``inputs`` holds.
 
     A NOT-family gate on classical lines XORs its control product into the
     target's bits.  Any other gate first activates a classical target,
     splitting the block on the target's bit into one new array, then
     applies ``_update`` in place to the block, selecting the ``1`` slice
     of each active control's axis; rows whose classical controls fail get
-    o = 0, which leaves them as they are.
+    o = 0, which leaves them as they are.  ``inputs`` is left unchanged.
     """
-    bits = _input_bits(circuit.line_names, rows)
-    size = len(rows)
+    bits = dict(inputs)
     axis: dict[str, int] = {}       # each active line's axis of the block, in order
     block = np.ones((size, 1), dtype=np.complex128)
     for g in circuit.gates:
@@ -272,16 +278,16 @@ def _predict(state: TargetState, inputs: dict[str, np.ndarray], size: int):
     return np.where(base, o, d), np.where(base, d, o)
 
 
-def _flagged(circuit: Circuit, rows: range, preds, delta: float) -> np.ndarray:
-    """Which inputs in ``rows`` have a factor off its prediction by more than delta.
+def _flagged(circuit: Circuit, inputs, size: int, preds, delta: float) -> np.ndarray:
+    """Which of the ``size`` inputs have a factor off its prediction by more than delta.
 
-    ``preds`` holds each line's predicted columns over ``rows``.  The
-    predicted product of the active lines is subtracted from the swept
-    block in place, its last factor one slice at a time, so besides the
-    block only a half-block temporary is ever held.
+    ``inputs`` holds each line's input bits and ``preds`` its predicted
+    columns, both over the same rows.  The predicted product of the
+    active lines is subtracted from the swept block in place, its last
+    factor one slice at a time, so besides the block only a half-block
+    temporary is ever held.
     """
-    bits, active, block = _sweep(circuit, rows)
-    size = len(rows)
+    bits, active, block = _sweep(circuit, inputs, size)
     flagged = np.zeros(size, dtype=bool)
     for name, bit in bits.items():
         p0, p1 = preds[name]
@@ -339,8 +345,9 @@ def cross_check(
     for start in range(0, 1 << n, chunk):
         rows = range(start, min(start + chunk, 1 << n))
         inputs = _input_bits(names, rows)
-        preds = {name: _predict(st, inputs, len(rows)) for name, st in zip(names, states)}
-        for r in np.flatnonzero(_flagged(circuit, rows, preds, delta)):
+        size = len(rows)
+        preds = {name: _predict(st, inputs, size) for name, st in zip(names, states)}
+        for r in np.flatnonzero(_flagged(circuit, inputs, size, preds, delta)):
             point = {name: int(inputs[name][r]) for name in names}
             pred = np.ones(1, dtype=np.complex128)
             for p0, p1 in preds.values():

@@ -5,9 +5,11 @@ Boolean line just XOR the resolved control product into its Anf.  Any other
 gate turns the line into a :class:`TargetState`: the line's value is
 Q^E(x) applied to a Boolean base, where Q is the K-th root of NOT and E is
 a multilinear integer polynomial kept canonical mod 2K.  Because roots of
-the same NOT commute, each gate simply adds  p * arith(controls)  into E
-after both sides are rebased to a common root (Q_{2K} squared is Q_K, so
-moving from root K to K' multiplies exponents by K'/K).
+the same NOT commute, E is  sum of a * arith(control)  over the distinct
+resolved controls, in any order: each taint episode sums its gates' powers
+per control (rebasing the sums to the finest root so far, since Q_{2K}
+squared is Q_K and moving from root K to K' multiplies exponents by K'/K)
+and expands E once, when the line is observed as a control or at the end.
 
 A target state *collapses* back to a Boolean function exactly when every
 canonical coefficient of E lies in {0, K}: then E = K * arith(f) pointwise
@@ -209,8 +211,46 @@ def evaluate(circuit: Circuit) -> EvalReport:
     return _evaluate_memo(circuit)
 
 
+class _Episode:
+    """One taint episode of a line: its base, root K and powers summed per control.
+
+    ``powers`` maps each resolved control to its total power a mod 2K at
+    the finest root K so far; a total of 0 is dropped.  The exponent is
+    expanded only by ``state``.
+    """
+
+    __slots__ = ("base", "k", "powers")
+
+    def __init__(self, base: Anf, k: int) -> None:
+        self.base, self.k, self.powers = base, k, {}
+
+    def add(self, k: int, p: int, control: Anf) -> None:
+        """Add Q_k^p under ``control``, first rescaling every total onto a finer root."""
+        if k > self.k:
+            factor, self.k = k // self.k, k
+            self.powers = {c: a * factor for c, a in self.powers.items()}
+        a = (self.powers.get(control, 0) + p * (self.k // k)) % (2 * self.k)
+        if a:
+            self.powers[control] = a
+        else:
+            del self.powers[control]
+
+    def state(self) -> TargetState:
+        """The episode's state, absorbing each control once.
+
+        For a = 2^v * odd, a * arith(control) mod 2K depends only on arith
+        mod 2K / 2^v, so the control is folded at root K / 2^v: a total of
+        K folds mod 2, which is the control's own monomials.
+        """
+        st = TargetState(self.base, self.k, MlPoly.zero())
+        for control, a in self.powers.items():
+            v = (a & -a).bit_length() - 1
+            st = st.absorb(self.k >> v, a >> v, control)
+        return st
+
+
 def _evaluate(circuit: Circuit) -> EvalReport:
-    states: dict[str, Anf | TargetState] = {
+    states: dict[str, Anf | _Episode] = {
         ln.name: Anf.var(ln.name) for ln in circuit.lines
     }
     episode: dict[str, int] = {ln.name: -1 for ln in circuit.lines}
@@ -221,7 +261,8 @@ def _evaluate(circuit: Circuit) -> EvalReport:
         ctrl = None if g.controls else Anf.one()
         for cname in g.controls:
             s = states[cname]
-            if isinstance(s, TargetState):
+            if isinstance(s, _Episode):
+                s = s.state()
                 v = s.collapse()
                 if v is None:
                     raise TargetInteractionError(
@@ -240,16 +281,16 @@ def _evaluate(circuit: Circuit) -> EvalReport:
         else:
             if isinstance(tstate, Anf):
                 episode[g.target] += 1
-                tstate = TargetState(tstate, g.k, MlPoly.zero())
-            states[g.target] = tstate.absorb(g.k, g.p, ctrl)
+                states[g.target] = tstate = _Episode(tstate, g.k)
+            tstate.add(g.k, g.p, ctrl)
             trace.append(GateRecord(i, g.target, ctrl, True, episode[g.target]))
 
     outcomes: dict[str, LineOutcome] = {}
     for ln in circuit.lines:
         value = states[ln.name]
-        if isinstance(value, TargetState):
-            last_state[ln.name] = value
-            value = value.collapse()
+        if isinstance(value, _Episode):
+            last_state[ln.name] = st = value.state()
+            value = st.collapse()
         outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, value, last_state.get(ln.name))
     return EvalReport(outcomes, trace)
 

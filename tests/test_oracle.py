@@ -163,7 +163,7 @@ def test_apply_gate_leaves_its_input_unchanged():
 
 def test_simulate_toffoli_cascade(fig2):
     out = simulate(fig2, {"a": 1, "b": 1, "c": 0, "t": 0})
-    assert out.dump() == "|1101> +1.000000000000 -0.000000000000"
+    assert out.dump() == "|1101> +1.000000000000 +0.000000000000"
     out = simulate(fig2, {"a": 0, "b": 1, "c": 1, "t": 0})
     assert np.argmax(np.abs(out.amps)) == 0b0111
 
@@ -291,7 +291,11 @@ def test_sweep_matches_dense_simulation(entangling, seed):
         if rejected == entangling:
             break
     names = c.line_names
-    sweep = oracle._sweep(c, range(1 << len(names)))
+    inputs = oracle._input_bits(names, range(1 << len(names)))
+    before = dict(inputs)
+    sweep = oracle._sweep(c, inputs, 1 << len(names))
+    # cross_check reads a flagged input's point from the same columns
+    assert inputs.keys() == before.keys() and all(inputs[n] is before[n] for n in names)
     dense = _sweep_dense(names, sweep)
     for i, pt in enumerate(iter_assignments(names)):
         assert np.max(np.abs(dense[i] - simulate(c, pt).amps)) < 1e-12

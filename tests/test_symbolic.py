@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from cnq import (
     Anf,
     Circuit,
+    EvalReport,
     Gate,
+    GateRecord,
     Line,
     LineMismatchError,
+    LineOutcome,
     MlPoly,
     TargetInteractionError,
     TargetState,
@@ -22,6 +25,7 @@ from cnq import (
     iter_assignments,
     random_valid_circuit,
 )
+from cnq.circuit import MAX_ROOT
 from cnq.symbolic import _evaluate
 
 from conftest import load
@@ -283,6 +287,148 @@ def test_taint_episodes_in_trace():
     eps = [r.episode for r in report.trace if r.target == "t"]
     assert eps == [0, 0, 1, 1]
     assert evaluate(c).outcomes["t"].value == Anf.var("t")   # a ^ a cancels
+
+
+# -- per-control sums against gate-by-gate absorption ------------------------------
+
+
+def _gate_by_gate(circuit):
+    """The reference evaluation: every gate is absorbed into its target's state at once."""
+    states = {ln.name: Anf.var(ln.name) for ln in circuit.lines}
+    episode = dict.fromkeys(states, -1)
+    last_state, trace = {}, []
+    for i, g in enumerate(circuit.gates):
+        ctrl = Anf.one()
+        for cname in g.controls:
+            s = states[cname]
+            if isinstance(s, TargetState):
+                v = s.collapse()
+                if v is None:
+                    raise TargetInteractionError(
+                        f"line {cname!r} drives a control while holding a "
+                        f"fractional power of NOT ({s})",
+                        gate_index=i,
+                    )
+                last_state[cname] = s
+                states[cname] = s = v
+            ctrl = ctrl & s
+        tstate = states[g.target]
+        if g.is_not_family and isinstance(tstate, Anf):
+            states[g.target] = tstate ^ ctrl
+            trace.append(GateRecord(i, g.target, ctrl, False, None))
+            continue
+        if isinstance(tstate, Anf):
+            episode[g.target] += 1
+            tstate = TargetState(tstate, g.k, MlPoly.zero())
+        states[g.target] = tstate.absorb(g.k, g.p, ctrl)
+        trace.append(GateRecord(i, g.target, ctrl, True, episode[g.target]))
+    outcomes = {}
+    for ln in circuit.lines:
+        value = states[ln.name]
+        if isinstance(value, TargetState):
+            last_state[ln.name] = value
+            value = value.collapse()
+        outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, value, last_state.get(ln.name))
+    return EvalReport(outcomes, trace)
+
+
+LINES = ("a", "b", "c", "t", "u")
+
+
+@st.composite
+def circuits(draw):
+    """Up to 12 gates on a, b, c and targets t, u; a target may drive a control."""
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        k = draw(roots)
+        target = draw(st.sampled_from(LINES))
+        others = st.sampled_from([x for x in LINES if x != target])
+        controls = draw(st.lists(others, max_size=2, unique=True))
+        gates.append(Gate(k, draw(st.integers(1, 2 * k - 1)), tuple(controls), target))
+    return Circuit(tuple(Line(x, x in ("t", "u")) for x in LINES), gates)
+
+
+@given(circuits())
+@settings(max_examples=300, deadline=None)
+def test_per_control_sums_match_gate_by_gate_absorption(c):
+    try:
+        want = _gate_by_gate(c)
+    except TargetInteractionError as exc:
+        with pytest.raises(TargetInteractionError) as err:
+            _evaluate(c)
+        assert (str(err.value), err.value.gate_index) == (str(exc), exc.gate_index)
+        return
+    got = _evaluate(c)
+    assert got.outcomes == want.outcomes
+    assert got.trace == want.trace
+
+
+def _absorbs(monkeypatch):
+    """Record the (k, p, control) of every ``TargetState.absorb`` call."""
+    calls, absorb = [], TargetState.absorb
+
+    def record(self, k, p, control):
+        calls.append((k, p, control))
+        return absorb(self, k, p, control)
+
+    monkeypatch.setattr(TargetState, "absorb", record)
+    return calls
+
+
+def test_a_complementary_pair_absorbs_nothing(monkeypatch):
+    calls = _absorbs(monkeypatch)
+    c = Circuit.parse("line a\nline t target\nw a -> t\nw* a -> t\n")
+    report = _evaluate(c)
+    assert calls == []
+    assert report.outcomes["t"].state == TargetState(Anf.var("t"), 4, MlPoly.zero())
+    assert "collapsed from root k=4, exponent 0" in report.to_text()
+
+
+def test_a_finer_root_rescales_earlier_sums(monkeypatch):
+    # v a is 2 at root 4, so the second v a brings a's sum to K = 4: a folds mod 2
+    calls = _absorbs(monkeypatch)
+    c = Circuit.parse("line a\nline b\nline t target\nv a -> t\nw b -> t\nv a -> t\n")
+    st0 = _evaluate(c).outcomes["t"].state
+    assert (st0.k_root, st0.exponent) == (4, MlPoly.parse("4*a + b"))
+    assert calls == [(1, 1, Anf.var("a")), (4, 1, Anf.var("b"))]
+    assert st0 == _gate_by_gate(c).outcomes["t"].state
+
+
+def test_a_target_driving_a_control_shows_the_gate_by_gate_exponent():
+    c = Circuit.parse(
+        "line a\nline b\nline t target\nline u target\n"
+        "cnot a b\nv b -> t\nw a -> t\nv b -> t\nw* a -> t\ncnot a b\n"
+        "cnot t u\n"                     # t collapses to t ^ a ^ b here
+        "ccx a b u\n"
+    )
+    report = _evaluate(c)
+    # a ^ b's total is 2 + 2 = K and a's is 1 + 7 = 0 mod 2K
+    shown = TargetState(Anf.var("t"), 4, MlPoly.parse("4*a + 4*b"))
+    assert report.outcomes["t"].state == shown
+    assert report.trace[6].resolved_control == Anf.parse("t ^ a ^ b")
+    assert report.outcomes["u"].value == Anf.parse("u ^ t ^ a ^ b ^ a&b")
+    assert report.outcomes == _gate_by_gate(c).outcomes
+
+
+def test_an_xor_under_a_complementary_pair_is_folded_mod_two(monkeypatch):
+    # the two powers sum to K = 2^20, so the 12-input parity folds mod 2; one
+    # gate at a time, each fold mod 2^21 keeps all 4095 terms of the parity
+    n = 12
+    text = "".join(f"line x{i}\n" for i in range(n)) + "line t target\n"
+    undo = "".join(f"cnot x{i} x{n - 1}\n" for i in range(n - 1))
+    text += undo + f"q k={MAX_ROOT} p=1 x{n - 1} -> t\n"
+    text += f"q k={MAX_ROOT} p={MAX_ROOT - 1} x{n - 1} -> t\n" + undo
+    sizes, to_arith = [], Anf.to_arith
+
+    def record(self, modulus=None):
+        out = to_arith(self, modulus)
+        sizes.append(len(out.terms))
+        return out
+
+    monkeypatch.setattr(Anf, "to_arith", record)
+    oc = _evaluate(Circuit.parse(text)).outcomes["t"]
+    assert oc.value == Anf([("t",)] + [(f"x{i}",) for i in range(n)])
+    assert sizes and max(sizes) <= n
 
 
 # -- spec checking ----------------------------------------------------------------
