@@ -1,9 +1,11 @@
 """Mixed gate roots and targets that feed controls.
 
 One circuit drives two target lines with eighth-turns (W), quarter-turns
-(V) and CNOTs.  Line c is tainted by V gates, returns to a Boolean value,
-and is then read as a control for line d: the evaluator collapses it on
-demand.  Exponents for different roots combine by rebasing, scaling a
+(V) and CNOTs.  Each taint episode of a target line sums its gates'
+powers per resolved control, and the report keeps that table.  Line c is
+tainted by V gates, returns to a Boolean value, and is then read as a
+control for line d: the evaluator collapses it on demand, which ends c's
+episode.  Exponents for different roots combine by rebasing, scaling a
 coarser exponent onto the finer root.
 """
 
@@ -17,15 +19,12 @@ circuit = Circuit.parse((FIXTURES / "fig6.cnq").read_text())
 print("== the circuit ==")
 print(circuit)
 
-print("== gate-by-gate absorption on the target lines ==")
+print("== the taint episodes: each control's total power and its gates ==")
 report = evaluate(circuit)
-for rec in report.trace:
-    gate = circuit.gates[rec.index]
-    kind = "absorbed" if rec.absorbed else "xor"
-    print(
-        f"gate {rec.index}: k={gate.k} p={gate.p} -> {rec.target:2s}"
-        f"  control resolves to {rec.resolved_control}  [{kind}]"
-    )
+for ep in report.episodes:
+    print(f"line {ep.target}, root k={ep.k_root}, totals mod {2 * ep.k_root}:")
+    for term in ep.terms:
+        print(f"  {str(term.control):<9} total {term.power}  gates {list(term.gates)}")
 
 print()
 print("== outcomes ==")
@@ -43,6 +42,8 @@ print()
 print("== collapse on demand ==")
 rec = report.trace[8]
 print(f"gate 8 reads line c as a control; it resolved to: {rec.resolved_control}")
+print("that read ends c's episode, so it is listed before d's, which ends with the circuit")
+assert [ep.target for ep in report.episodes] == ["c", "d"]
 print("a non-collapsible control would have raised E_TARGET_INTERACTION instead")
 
 print()

@@ -40,6 +40,8 @@ from .expr import (
 from .fuzz import random_circuit, random_valid_circuit, self_test
 from .optimize import Change, MergeResult, merge_pass
 from .symbolic import (
+    Episode,
+    EpisodeTerm,
     EquivVerdict,
     EvalReport,
     GateRecord,
@@ -91,6 +93,8 @@ __all__ = [
     "DEFAULT_ENUM_GUARD",
     "DEFAULT_SIM_GUARD",
     "EnumerationLimitError",
+    "Episode",
+    "EpisodeTerm",
     "EquivVerdict",
     "EvalReport",
     "Gate",

@@ -2,16 +2,17 @@
 
 Gates absorbed into one line's exponent commute with each other, so all
 contributions sharing a resolved control expression add up:
-Q^p1 Q^p2 ... = Q^(p1+p2+...) mod 2K.  ``merge_pass`` groups the absorbed
-gates of each taint episode (one stretch of a line's life between Boolean
-phases) by resolved control, sums their rebased powers and rewrites each
-multi-gate group as zero gates (sum = 0), one NOT-family gate (sum = K) or
-one root-K gate, emitted at the position of the group's last member with
-that member's own control lines.  Groups are never merged across a
-collapse that another gate observed: the exponent read there must stay
-intact.  Single-member groups are left verbatim.  The returned
-``MergeResult`` keeps the input beside its rewrite and renders both, with
-the changes, as text or as a structured document.
+Q^p1 Q^p2 ... = Q^(p1+p2+...) mod 2K.  The evaluator already sums them:
+each taint episode (one stretch of a line's life between Boolean phases)
+of ``EvalReport.episodes`` holds one term per resolved control, with its
+total power at the episode's root K and its gates.  ``merge_pass``
+rewrites each term of two or more gates as zero gates (total 0), one
+NOT-family gate (total K) or one root-K gate, emitted at the position of
+the term's last gate with that gate's own control lines.  Terms never span
+a collapse that another gate observed, since that ends the episode: the
+exponent read there stays intact.  Single-gate terms are left verbatim.
+The returned ``MergeResult`` keeps the input beside its rewrite and
+renders both, with the changes, as text or as a structured document.
 
 Boolean bookkeeping (NOT-family gates on lines still in Boolean form) is
 never touched.
@@ -22,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
-from .expr import Anf
-from .symbolic import GateRecord, equivalent, evaluate
+from .symbolic import equivalent, evaluate
 
 
 @dataclass
@@ -78,36 +78,28 @@ def merge_pass(circuit: Circuit) -> MergeResult:
     """One sound merging sweep; never increases the gate count.
 
     A rewritten circuit is proved equivalent to the input before it is
-    returned; the proof reuses the remembered evaluation that found the groups.
+    returned; the proof reuses the remembered evaluation whose episodes
+    gave the terms.
     """
-    # per-episode root: the maximum k absorbed during that stretch
-    episode_k: dict[tuple[str, int], int] = {}
-    groups: dict[tuple[str, int, Anf], list[GateRecord]] = {}
-    for rec in evaluate(circuit).trace:
-        if not rec.absorbed:
-            continue
-        key = (rec.target, rec.episode)
-        episode_k[key] = max(episode_k.get(key, 1), circuit.gates[rec.index].k)
-        groups.setdefault((*key, rec.resolved_control), []).append(rec)
+    terms = sorted(
+        ((ep, term) for ep in evaluate(circuit).episodes for term in ep.terms
+         if len(term.gates) > 1),
+        key=lambda pair: pair[1].gates[0],
+    )
 
     # gate index -> what stands there after the pass (None: nothing)
     replaced: dict[int, Gate | None] = {}
     changes: list[Change] = []
-    for (target, episode, _ctrl), members in groups.items():
-        if len(members) < 2:
-            continue
-        k_ep = episode_k[(target, episode)]
-        indices = [rec.index for rec in members]
-        group = [circuit.gates[i] for i in indices]
-        total = sum(g.p * (k_ep // g.k) for g in group) % (2 * k_ep)
-        controls = group[-1].controls
-        if total == 0:
+    for ep, term in terms:
+        target, k, indices = ep.target, ep.k_root, list(term.gates)
+        controls = circuit.gates[indices[-1]].controls
+        if term.power == 0:
             change = Change("cancel", target, indices, None, "contributions sum to the identity")
-        elif total == k_ep:
+        elif term.power == k:
             g = Gate(1, 1, controls, target)
             change = Change("promote", target, indices, g, "contributions sum to NOT")
         else:
-            change = Change("merge", target, indices, Gate(k_ep, total, controls, target))
+            change = Change("merge", target, indices, Gate(k, term.power, controls, target))
         replaced.update(dict.fromkeys(indices[:-1]))
         replaced[indices[-1]] = change.replacement
         changes.append(change)

@@ -10,6 +10,8 @@ resolved controls, in any order: each taint episode sums its gates' powers
 per control (rebasing the sums to the finest root so far, since Q_{2K}
 squared is Q_K and moving from root K to K' multiplies exponents by K'/K)
 and expands E once, when the line is observed as a control or at the end.
+That per-control table, with each control's gates, is the report's
+``episodes``: the one record of which gates each episode absorbed.
 
 A target state *collapses* back to a Boolean function exactly when every
 canonical coefficient of E lies in {0, K}: then E = K * arith(f) pointwise
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .circuit import Circuit
 from .errors import LineMismatchError, TargetInteractionError
@@ -129,30 +132,57 @@ class LineOutcome:
 
 @dataclass(frozen=True)
 class GateRecord:
-    """Trace entry: how one gate entered the evaluation."""
+    """Trace entry: the control one gate resolved to; ``EvalReport.episodes`` holds its episode."""
 
     index: int
     target: str
     resolved_control: Anf
-    absorbed: bool            # True when added into a TargetState exponent
-    episode: int | None       # per-line taint episode ordinal when absorbed
+
+
+# The two episode records are named tuples: as immutable as a frozen
+# dataclass, but about a tenth of its cost to define on each `import cnq`.
+class EpisodeTerm(NamedTuple):
+    """One resolved control of a taint episode and its gates' indices, in order.
+
+    ``power`` is the sum of p * (K/k) over ``gates`` mod 2K, K the
+    episode's root; it is 0 when the gates cancel.
+    """
+
+    control: Anf
+    power: int
+    gates: tuple[int, ...]
+
+
+class Episode(NamedTuple):
+    """A line's stretch off the Boolean domain, up to a read as a control or the end.
+
+    Its exponent is the sum of power * arith(control) over ``terms`` (in
+    order of first gate) mod 2 * ``k_root``, the finest root of its gates.
+    """
+
+    target: str
+    k_root: int
+    terms: tuple[EpisodeTerm, ...]
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One evaluation of a circuit: line outcomes plus a trace record per gate.
+    """One evaluation of a circuit: line outcomes, a trace record per gate, the episodes.
 
-    A report is immutable, so ``evaluate`` may hand the same one to every
-    caller: ``outcomes`` is a read-only copy of the mapping it is given and
-    ``trace`` a tuple.
+    ``episodes`` lists every taint episode in the order they ended.  A
+    report is immutable, so ``evaluate`` may hand the same one to every
+    caller: ``outcomes`` is a read-only copy of the mapping it is given,
+    ``trace`` and ``episodes`` are tuples.
     """
 
     outcomes: Mapping[str, LineOutcome]
     trace: tuple[GateRecord, ...] = ()
+    episodes: tuple[Episode, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", MappingProxyType(dict(self.outcomes)))
         object.__setattr__(self, "trace", tuple(self.trace))
+        object.__setattr__(self, "episodes", tuple(self.episodes))
 
     @property
     def warnings(self) -> list[str]:
@@ -212,31 +242,31 @@ def evaluate(circuit: Circuit) -> EvalReport:
 
 
 class _Episode:
-    """One taint episode of a line: its base, root K and powers summed per control.
+    """An open taint episode of a line: its base, root K and per-control sums.
 
     ``powers`` maps each resolved control to its total power a mod 2K at
-    the finest root K so far; a total of 0 is dropped.  The exponent is
-    expanded only by ``state``.
+    the finest root K so far, and ``gates`` to the indices of its gates; a
+    total of 0 stays in the table.  The exponent is expanded only by
+    ``state``.
     """
 
-    __slots__ = ("base", "k", "powers")
+    __slots__ = ("target", "base", "k", "powers", "gates")
 
-    def __init__(self, base: Anf, k: int) -> None:
-        self.base, self.k, self.powers = base, k, {}
+    def __init__(self, target: str, base: Anf, k: int) -> None:
+        self.target, self.base, self.k = target, base, k
+        self.powers: dict[Anf, int] = {}
+        self.gates: dict[Anf, list[int]] = {}
 
-    def add(self, k: int, p: int, control: Anf) -> None:
-        """Add Q_k^p under ``control``, first rescaling every total onto a finer root."""
+    def add(self, index: int, k: int, p: int, control: Anf) -> None:
+        """Add gate ``index``, Q_k^p under ``control``, first rescaling onto a finer root."""
         if k > self.k:
             factor, self.k = k // self.k, k
             self.powers = {c: a * factor for c, a in self.powers.items()}
-        a = (self.powers.get(control, 0) + p * (self.k // k)) % (2 * self.k)
-        if a:
-            self.powers[control] = a
-        else:
-            del self.powers[control]
+        self.powers[control] = (self.powers.get(control, 0) + p * (self.k // k)) % (2 * self.k)
+        self.gates.setdefault(control, []).append(index)
 
     def state(self) -> TargetState:
-        """The episode's state, absorbing each control once.
+        """The episode's state, absorbing each control with a nonzero total once.
 
         For a = 2^v * odd, a * arith(control) mod 2K depends only on arith
         mod 2K / 2^v, so the control is folded at root K / 2^v: a total of
@@ -244,25 +274,31 @@ class _Episode:
         """
         st = TargetState(self.base, self.k, MlPoly.zero())
         for control, a in self.powers.items():
-            v = (a & -a).bit_length() - 1
-            st = st.absorb(self.k >> v, a >> v, control)
+            if a:
+                v = (a & -a).bit_length() - 1
+                st = st.absorb(self.k >> v, a >> v, control)
         return st
+
+    def frozen(self) -> Episode:
+        """The episode's table, as the report keeps it once the episode ends."""
+        terms = (EpisodeTerm(c, a, tuple(self.gates[c])) for c, a in self.powers.items())
+        return Episode(self.target, self.k, tuple(terms))
 
 
 def _evaluate(circuit: Circuit) -> EvalReport:
     states: dict[str, Anf | _Episode] = {
         ln.name: Anf.var(ln.name) for ln in circuit.lines
     }
-    episode: dict[str, int] = {ln.name: -1 for ln in circuit.lines}
     last_state: dict[str, TargetState] = {}
     trace: list[GateRecord] = []
+    episodes: list[Episode] = []
 
     for i, g in enumerate(circuit.gates):
         ctrl = None if g.controls else Anf.one()
         for cname in g.controls:
             s = states[cname]
             if isinstance(s, _Episode):
-                s = s.state()
+                ep, s = s, s.state()
                 v = s.collapse()
                 if v is None:
                     raise TargetInteractionError(
@@ -270,6 +306,7 @@ def _evaluate(circuit: Circuit) -> EvalReport:
                         f"fractional power of NOT ({s})",
                         gate_index=i,
                     )
+                episodes.append(ep.frozen())
                 last_state[cname] = s
                 states[cname] = s = v
             ctrl = s if ctrl is None else ctrl & s
@@ -277,22 +314,21 @@ def _evaluate(circuit: Circuit) -> EvalReport:
         tstate = states[g.target]
         if g.is_not_family and isinstance(tstate, Anf):
             states[g.target] = tstate ^ ctrl
-            trace.append(GateRecord(i, g.target, ctrl, False, None))
         else:
             if isinstance(tstate, Anf):
-                episode[g.target] += 1
-                states[g.target] = tstate = _Episode(tstate, g.k)
-            tstate.add(g.k, g.p, ctrl)
-            trace.append(GateRecord(i, g.target, ctrl, True, episode[g.target]))
+                states[g.target] = tstate = _Episode(g.target, tstate, g.k)
+            tstate.add(i, g.k, g.p, ctrl)
+        trace.append(GateRecord(i, g.target, ctrl))
 
     outcomes: dict[str, LineOutcome] = {}
     for ln in circuit.lines:
         value = states[ln.name]
         if isinstance(value, _Episode):
+            episodes.append(value.frozen())
             last_state[ln.name] = st = value.state()
             value = st.collapse()
         outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, value, last_state.get(ln.name))
-    return EvalReport(outcomes, trace)
+    return EvalReport(outcomes, trace, episodes)
 
 
 _evaluate_memo = lru_cache(maxsize=_EVAL_MEMO_SIZE)(_evaluate)

@@ -127,6 +127,15 @@ def test_apply_gate_preserves_norm():
     assert abs(np.linalg.norm(sv.amps) - 1.0) < 1e-12
 
 
+def test_amplitudes_drop_the_sign_of_a_rounded_zero():
+    # -1e-17 rounds to -0.0, which would print as "-0"
+    sv = StateVector(("a",), np.array([complex(-1e-17, 0.6), complex(0.8, -1e-17)]))
+    amps = sv.amplitudes()
+    assert amps == {"0": 0.6j, "1": complex(0.8, 0.0)}
+    assert np.copysign(1.0, amps["0"].real) == np.copysign(1.0, amps["1"].imag) == 1.0
+    assert sv.dump() == "|0> +0.000000000000 +0.600000000000\n|1> +0.800000000000 +0.000000000000"
+
+
 def _controlled_matrix(lines, gate):
     """The full 2^n unitary of ``gate``, built by hand: I + P1 (x) ... (x) (Q^p - I)."""
     p1 = np.diag([0, 1]).astype(complex)

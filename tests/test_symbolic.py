@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from cnq import (
     Anf,
     Circuit,
+    Episode,
+    EpisodeTerm,
     EvalReport,
     Gate,
     GateRecord,
@@ -284,8 +286,8 @@ def test_taint_episodes_in_trace():
         "v a -> t\nv a -> t\n"          # episode 1 on t
     )
     report = evaluate(c)
-    eps = [r.episode for r in report.trace if r.target == "t"]
-    assert eps == [0, 0, 1, 1]
+    eps = [[term.gates for term in ep.terms] for ep in report.episodes if ep.target == "t"]
+    assert eps == [[(0, 1)], [(3, 4)]]
     assert evaluate(c).outcomes["t"].value == Anf.var("t")   # a ^ a cancels
 
 
@@ -295,7 +297,6 @@ def test_taint_episodes_in_trace():
 def _gate_by_gate(circuit):
     """The reference evaluation: every gate is absorbed into its target's state at once."""
     states = {ln.name: Anf.var(ln.name) for ln in circuit.lines}
-    episode = dict.fromkeys(states, -1)
     last_state, trace = {}, []
     for i, g in enumerate(circuit.gates):
         ctrl = Anf.one()
@@ -313,15 +314,13 @@ def _gate_by_gate(circuit):
                 states[cname] = s = v
             ctrl = ctrl & s
         tstate = states[g.target]
+        trace.append(GateRecord(i, g.target, ctrl))
         if g.is_not_family and isinstance(tstate, Anf):
             states[g.target] = tstate ^ ctrl
-            trace.append(GateRecord(i, g.target, ctrl, False, None))
             continue
         if isinstance(tstate, Anf):
-            episode[g.target] += 1
             tstate = TargetState(tstate, g.k, MlPoly.zero())
         states[g.target] = tstate.absorb(g.k, g.p, ctrl)
-        trace.append(GateRecord(i, g.target, ctrl, True, episode[g.target]))
     outcomes = {}
     for ln in circuit.lines:
         value = states[ln.name]
@@ -431,6 +430,111 @@ def test_an_xor_under_a_complementary_pair_is_folded_mod_two(monkeypatch):
     assert sizes and max(sizes) <= n
 
 
+# -- the episode table ------------------------------------------------------------
+
+
+def test_fig6_episodes(fig6):
+    # gate 8 reads c, which ends c's episode there; d's ends with the circuit
+    a, b, c = Anf.var("a"), Anf.var("b"), Anf.var("c")
+    assert evaluate(fig6).episodes == (
+        Episode("c", 2, (
+            EpisodeTerm(a, 3, (3,)),
+            EpisodeTerm(b, 3, (4,)),
+            EpisodeTerm(a ^ b, 1, (7,)),
+        )),
+        Episode("d", 4, (
+            EpisodeTerm(a, 7, (0,)),
+            EpisodeTerm(b, 7, (1,)),
+            EpisodeTerm(c, 6, (2,)),
+            EpisodeTerm(a ^ b, 1, (6,)),
+            EpisodeTerm(c ^ (a & b), 2, (8,)),
+        )),
+    )
+
+
+def test_a_cancelled_control_stays_in_its_episode(monkeypatch):
+    calls = _absorbs(monkeypatch)
+    c = Circuit.parse("line a\nline b\nline t target\nv a -> t\nv b -> t\nv* a -> t\n")
+    (ep,) = _evaluate(c).episodes
+    a, b = Anf.var("a"), Anf.var("b")
+    assert ep == Episode("t", 2, (EpisodeTerm(a, 0, (0, 2)), EpisodeTerm(b, 1, (1,))))
+    assert calls == [(2, 1, b)]
+
+
+@st.composite
+def circuits_with_pairs(draw):
+    """``circuits`` where some gates repeat or invert an earlier gate."""
+    gates = list(draw(circuits()).gates)
+    for _ in range(draw(st.integers(0, 4))):
+        g = draw(st.sampled_from(gates))
+        p = draw(st.sampled_from([g.p, 2 * g.k - g.p]))
+        gates.insert(draw(st.integers(0, len(gates))), Gate(g.k, p, g.controls, g.target))
+    return Circuit(tuple(Line(x, x in ("t", "u")) for x in LINES), gates)
+
+
+def _taint_runs(circuit):
+    """Each line's absorbed gates, one list per stretch, in the order the stretches end.
+
+    A gate is absorbed unless it is NOT-family on a Boolean line; reading a
+    line as a control returns it to the Boolean domain.
+    """
+    open_runs, runs = {}, []
+    for i, g in enumerate(circuit.gates):
+        for cname in g.controls:
+            if cname in open_runs:
+                runs.append(open_runs.pop(cname))
+        if g.target in open_runs or not g.is_not_family:
+            open_runs.setdefault(g.target, []).append(i)
+    return runs + [open_runs[ln.name] for ln in circuit.lines if ln.name in open_runs]
+
+
+@given(circuits_with_pairs())
+@settings(max_examples=300, deadline=None)
+def test_episodes_partition_the_absorbed_gates_and_sum_their_powers(c):
+    try:
+        report = _evaluate(c)
+    except TargetInteractionError:
+        return
+    runs = _taint_runs(c)
+    assert [sorted(i for t in ep.terms for i in t.gates) for ep in report.episodes] == runs
+    assert sum(len(t.gates) for ep in report.episodes for t in ep.terms) == sum(map(len, runs))
+    for ep in report.episodes:
+        gates = [c.gates[i] for t in ep.terms for i in t.gates]
+        assert ep.k_root == max(g.k for g in gates)
+        assert {g.target for g in gates} == {ep.target}
+        assert len({t.control for t in ep.terms}) == len(ep.terms)
+        for t in ep.terms:
+            assert {report.trace[i].resolved_control for i in t.gates} == {t.control}
+            m = 2 * ep.k_root
+            assert t.power == sum(c.gates[i].p * (ep.k_root // c.gates[i].k) for i in t.gates) % m
+    last = {ep.target: ep for ep in report.episodes}
+    for name, oc in report.outcomes.items():
+        if name not in last:
+            assert oc.state is None
+            continue
+        ep, m = last[name], 2 * last[name].k_root
+        expanded = sum((t.power * t.control.to_arith(m) for t in ep.terms), MlPoly.zero())
+        assert (oc.state.k_root, oc.state.exponent) == (ep.k_root, expanded.reduce_mod(m))
+
+
+def test_the_episode_table_cannot_be_written(fig6):
+    report = evaluate(fig6)
+    ep = report.episodes[0]
+    with pytest.raises(FrozenInstanceError):
+        report.episodes = ()
+    with pytest.raises(TypeError):
+        report.episodes[0] = ep
+    with pytest.raises(AttributeError):
+        ep.k_root = 8
+    with pytest.raises(TypeError):
+        ep.terms[0] = ep.terms[1]
+    with pytest.raises(AttributeError):
+        ep.terms[0].power = 0
+    with pytest.raises(TypeError):
+        ep.terms[0].gates[0] = 5
+    assert replace(report, episodes=list(report.episodes)).episodes == report.episodes
+
+
 # -- spec checking ----------------------------------------------------------------
 
 
@@ -468,6 +572,29 @@ def test_check_spec_witness_omitted_above_guard():
     assert verdict.witness is None
 
 
+def test_check_spec_witness_at_exactly_the_guard():
+    # a failing spec over exactly ``guard`` variables still gets its witness
+    c = Circuit.parse("line a\nline t target\ncnot a t\nspec t = t\n")
+    (verdict,) = check_spec(c, guard=2)
+    assert verdict.witness == {"a": 1, "t": 0}
+    residual = Circuit.parse("line a\nline t target\nv a -> t\nspec t = t ^ a\n")
+    (verdict,) = check_spec(residual, guard=1)
+    assert verdict.witness == {"a": 1}
+
+
+def test_no_collapse_witness_leaves_the_basis():
+    # E = a + 2b + 2c at root 2 is a basis state wherever a = 0, including
+    # (0, 1, 1), where E = 4 = 0 mod 4; the first input off the basis is (1, 0, 0)
+    c = Circuit.parse(
+        "line a\nline b\nline c\nline t target\n"
+        "v a -> t\ncnot b t\ncnot c t\nspec t = t\n"
+    )
+    (verdict,) = check_spec(c)
+    assert verdict.code == "E_NO_COLLAPSE"
+    assert verdict.actual_state.exponent == MlPoly.parse("a + 2*b + 2*c")
+    assert verdict.witness == {"a": 1, "b": 0, "c": 0}
+
+
 # -- circuit equivalence -------------------------------------------------------------
 
 
@@ -503,6 +630,16 @@ def test_equivalence_residual_with_different_bases():
     c1 = Circuit.parse("line a\nline t target\nnot t\nv a -> t\n")
     c2 = Circuit.parse("line a\nline t target\nq k=2 p=2 -> t\nv a -> t\n")
     assert equivalent(c1, c2).passed
+
+
+def test_residual_mismatch_shows_exponents_mod_2k():
+    # base t ^ a folds K * a into 3a: 5a is a mod 4, the same state as V^a
+    c1 = Circuit.parse("line a\nline b\nline t target\ncnot a t\nv* a -> t\n")
+    c2 = Circuit.parse("line a\nline b\nline t target\nv b -> t\n")
+    c3 = Circuit.parse("line a\nline b\nline t target\nv a -> t\n")
+    verdict = equivalent(c1, c2)
+    assert verdict.details["t"] == "residual states differ at root k=2: a + 2*t != b + 2*t"
+    assert equivalent(c1, c3).passed
 
 
 def test_equivalence_boolean_vs_residual_fails():
@@ -620,7 +757,7 @@ def test_a_shared_report_cannot_be_written(fig2):
     with pytest.raises(FrozenInstanceError):
         report.outcomes["t"].value = Anf.one()
     with pytest.raises(FrozenInstanceError):
-        report.trace[0].absorbed = False
+        report.trace[0].resolved_control = Anf.one()
     # a replaced report is read-only too, and leaves the original alone
     changed = replace(report, outcomes={**report.outcomes, "t": report.outcomes["a"]})
     with pytest.raises(TypeError):
