@@ -488,10 +488,13 @@ class _ExprParser:
 
     def _anf_expr(self) -> Anf:
         acc = self._anf_term()
+        if self._peek() != "^":
+            return acc
+        monomials = set(acc.monomials)
         while self._peek() == "^":
             self._next()
-            acc = acc ^ self._anf_term()
-        return acc
+            monomials ^= self._anf_term().monomials
+        return Anf._from_monomials(frozenset(monomials))
 
     def _anf_term(self) -> Anf:
         acc = self._anf_factor()
@@ -512,8 +515,8 @@ class _ExprParser:
             if closing != ")":
                 raise ParseError(f"expected ')', got {closing!r}", col=ccol)
             return inner
-        if _VAR_RE.match(tok):
-            return Anf.var(tok)
+        if _VAR_RE.match(tok):      # a checked name: skip Anf.var's second check
+            return Anf._from_monomials(frozenset((frozenset((tok,)),)))
         raise ParseError(f"expected a variable, constant or '(', got {tok!r}", col=col)
 
     # MlPoly grammar

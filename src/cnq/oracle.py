@@ -11,7 +11,11 @@ exactly.
 
 ``cross_check`` is the bridge: it compares the swept states on every
 basis input with the tensor product predicted by an evaluation report,
-and confirms each input that may fail with dense ``simulate``.
+and confirms each input that may fail with dense ``simulate``.  A line
+whose predicted exponent is 0, as on every Boolean line, is predicted as
+a column of bits, and a classical swept line is compared with it bit for
+bit; complex amplitudes are built for it only where the sweep made it
+active or to confirm a flagged input.
 
 Line order is significant: the first declared line is the most significant
 bit of the basis index.
@@ -19,6 +23,7 @@ bit of the basis index.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,6 +64,11 @@ def _turn(k: int, p):
     """
     w = np.exp(1j * np.pi * (p % (2 * k)) / k)
     return (1 + w) / 2, (1 - w) / 2
+
+
+# ``_turn`` for one gate's integer (k, p), computed once per distinct pair.
+# The fuzzer's roots 1, 2, 4 and 8 give 26 pairs.
+_gate_turn = functools.lru_cache(maxsize=64)(_turn)
 
 
 def q_matrix(k: int, p: int) -> np.ndarray:
@@ -142,7 +152,7 @@ def _update(amps: np.ndarray, axis, controls, target: str, o) -> None:
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply Q^p on the target axis of every control-satisfying amplitude."""
     out = state.amps.copy()
-    _, o = _turn(gate.k, gate.p)
+    _, o = _gate_turn(gate.k, gate.p)
     _update(out.reshape((2,) * len(state.lines)), state.line_axis, gate.controls, gate.target, o)
     return StateVector(state.lines, out)
 
@@ -195,14 +205,19 @@ class _Sweep(NamedTuple):
 
 
 def _and(columns: dict[str, np.ndarray], names, size: int) -> np.ndarray:
-    """The AND of the named bool columns (all True for no names)."""
-    out = np.ones(size, dtype=bool)
+    """The AND of the named bool columns (all True for no names).
+
+    For one name this is that column itself, so no caller writes into it.
+    """
+    cols = []
     for v in names:
         try:
-            out &= columns[v]
+            cols.append(columns[v])
         except KeyError:
             raise UnboundVariableError(f"no value for variable {v!r}") from None
-    return out
+    if not cols:
+        return np.ones(size, dtype=bool)
+    return functools.reduce(np.logical_and, cols)
 
 
 def _input_bits(names: tuple[str, ...], rows: range) -> dict[str, np.ndarray]:
@@ -251,7 +266,7 @@ def _sweep(circuit: Circuit, inputs: dict[str, np.ndarray], size: int) -> _Sweep
             np.multiply(block, col, out=grown[:, :, 1])
             block = grown.reshape(size, -1)
             axis[g.target] = 1 + len(axis)
-        _, o = _turn(g.k, g.p)
+        _, o = _gate_turn(g.k, g.p)
         classical = [c for c in g.controls if c in bits]
         if classical:
             o = np.where(_and(bits, classical, size), o, 0).reshape((size,) + (1,) * len(axis))
@@ -264,41 +279,63 @@ def _sweep(circuit: Circuit, inputs: dict[str, np.ndarray], size: int) -> _Sweep
 
 
 def _predict(state: TargetState, inputs: dict[str, np.ndarray], size: int):
-    """The predicted 2-vector Q^E(x)|base(x)> per input, as two columns."""
+    """The predicted state Q^E(x)|base(x)> per input.
+
+    Where E is 0 on every input (every coefficient a multiple of 2K, as on
+    a Boolean line) this is the basis state |base(x)>, returned as its bool
+    column, which may be an input column itself.  Otherwise it is the
+    2-vector as two complex columns.
+    """
     k = state.k_root
     _check_root(k)
-    e = np.zeros(size, dtype=np.int64)
+    e = None
     for mono, c in state.exponent.terms.items():
         if c % (2 * k):
+            if e is None:
+                e = np.zeros(size, dtype=np.int64)
             e += (c % (2 * k)) * _and(inputs, mono, size)
+    cols = [_and(inputs, mono, size) for mono in state.base.monomials]
+    base = functools.reduce(np.logical_xor, cols) if cols else np.zeros(size, dtype=bool)
+    if e is None:
+        return base
     d, o = _turn(k, e)
-    base = np.zeros(size, dtype=bool)
-    for mono in state.base.monomials:
-        base ^= _and(inputs, mono, size)
     return np.where(base, o, d), np.where(base, d, o)
+
+
+def _pair(pred, rows=slice(None)) -> tuple:
+    """A prediction's two complex entries over ``rows``: a basis state's are 1 - bit and bit."""
+    if isinstance(pred, tuple):
+        return pred[0][rows], pred[1][rows]
+    bit = pred[rows]
+    return (~bit).astype(np.complex128), bit.astype(np.complex128)
 
 
 def _flagged(circuit: Circuit, inputs, size: int, preds, delta: float) -> np.ndarray:
     """Which of the ``size`` inputs have a factor off its prediction by more than delta.
 
-    ``inputs`` holds each line's input bits and ``preds`` its predicted
-    columns, both over the same rows.  The predicted product of the
-    active lines is subtracted from the swept block in place, its last
-    factor one slice at a time, so besides the block only a half-block
-    temporary is ever held.
+    ``inputs`` holds each line's input bits and ``preds`` its predictions,
+    both over the same rows.  A classical line against a basis-state
+    prediction is off exactly where its bit differs from the predicted
+    bit.  The predicted product of the active lines is subtracted from the
+    swept block in place, its last factor one slice at a time, so besides
+    the block only a half-block temporary is ever held.
     """
     bits, active, block = _sweep(circuit, inputs, size)
     flagged = np.zeros(size, dtype=bool)
     for name, bit in bits.items():
-        p0, p1 = preds[name]
-        flagged |= np.maximum(np.abs(p0 - ~bit), np.abs(p1 - bit)) > delta
+        pred = preds[name]
+        if isinstance(pred, tuple):
+            p0, p1 = pred
+            flagged |= np.maximum(np.abs(p0 - ~bit), np.abs(p1 - bit)) > delta
+        else:
+            flagged |= bit != pred
     if active:                  # with none, the block is all ones, as predicted
         joint = np.ones((size, 1), dtype=np.complex128)
         for name in active[:-1]:
-            pair = np.stack(preds[name], axis=-1)
+            pair = np.stack(_pair(preds[name]), axis=-1)
             joint = (joint[:, :, None] * pair[:, None, :]).reshape(size, -1)
         halves = block.reshape(size, -1, 2)
-        for b, pred in enumerate(preds[active[-1]]):
+        for b, pred in enumerate(_pair(preds[active[-1]])):
             halves[:, :, b] -= joint * pred[:, None]
         flagged |= np.max(np.abs(block), axis=1) > delta
     return flagged
@@ -319,7 +356,11 @@ def cross_check(
 
     All inputs are simulated at once by ``_sweep``, in chunks, and compared
     factor by factor: each classical line's bit and the active block
-    against the predicted 2-vectors and their outer product.  If no factor
+    against the predicted 2-vectors and their outer product.  A line whose
+    exponent is 0 on every input is predicted as its base bit; a classical
+    line is off such a prediction where bit != base, which is the test
+    |p - bit| > delta itself, because p0 = 1 - base and p1 = base are
+    exactly 0 or 1 and so |p - bit| is exactly 0 or 1.  If no factor
     is off by more than delta = atol / (2(n+1)), the dense error is at most
     (1+delta)^n - 1 + delta < atol, so only flagged inputs can fail (this
     needs atol far above rounding error, as 1e-9 is).  Each flagged input
@@ -350,8 +391,8 @@ def cross_check(
         for r in np.flatnonzero(_flagged(circuit, inputs, size, preds, delta)):
             point = {name: int(inputs[name][r]) for name in names}
             pred = np.ones(1, dtype=np.complex128)
-            for p0, p1 in preds.values():
-                pred = np.outer(pred, (p0[r], p1[r])).ravel()
+            for line_pred in preds.values():
+                pred = np.outer(pred, _pair(line_pred, r)).ravel()
             err = float(np.max(np.abs(simulate(circuit, point, guard=guard).amps - pred)))
             if err > CROSS_CHECK_ATOL:
                 detail = f"max amplitude error {err:.3e} exceeds {CROSS_CHECK_ATOL:g}"

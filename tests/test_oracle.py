@@ -29,6 +29,7 @@ from cnq import (
     oracle,
     q_matrix,
     random_circuit,
+    random_valid_circuit,
     simulate,
 )
 from cnq.circuit import MAX_ROOT
@@ -409,6 +410,36 @@ def _deep_off_by_one(report):
     return _mutate(report, "t", exponent=_plus_one(exponent, frozenset({"a", "b"})))
 
 
+# t collapses to t ^ a ^ b ^ a&b; a and b stay pure
+_COLLAPSED = "line a\nline b\nline t target\nv a -> t\ncnot b a\nv a -> t\nv b -> t\n"
+_V_TWICE = "line a\nline t target\nv a -> t\nv a -> t\n"
+
+
+def _with_outcome(report, line, **changes):
+    oc = report.outcomes[line]
+    return replace(report, outcomes={**report.outcomes, line: replace(oc, **changes)})
+
+
+def _pure_xor_one(report):
+    # a pure line the sweep keeps classical
+    return _with_outcome(report, "a", value=report.outcomes["a"].value ^ Anf.one())
+
+
+def _collapsed_xor_var(report):
+    return _with_outcome(report, "t", value=report.outcomes["t"].value ^ Anf.var("b"))
+
+
+def _active_boolean(report):
+    # the sweep activates t for its V gates, yet the report says t ^ a ^ 1
+    return _with_outcome(report, "t", value=report.outcomes["t"].value ^ Anf.one())
+
+
+def _classical_residual(report):
+    # b is pure, so the sweep keeps it a bit column, but the report says V|b>
+    state = TargetState(report.outcomes["b"].value, 2, MlPoly.parse("1"))
+    return _with_outcome(report, "b", value=None, state=state)
+
+
 @pytest.mark.parametrize(
     "text,mutate",
     [
@@ -417,8 +448,13 @@ def _deep_off_by_one(report):
         (_TWO_RESIDUALS, _swapped_residuals),
         (_DEEP_ROOT, _wrong_constant),
         (_DEEP_ROOT, _deep_off_by_one),
+        (_TWO_RESIDUALS, _pure_xor_one),
+        (_COLLAPSED, _collapsed_xor_var),
+        (_V_TWICE, _active_boolean),
+        (_TWO_RESIDUALS, _classical_residual),
     ],
-    ids=["constant", "base", "swapped", "deep-constant", "deep-off-by-one"],
+    ids=["constant", "base", "swapped", "deep-constant", "deep-off-by-one",
+         "pure-xor-one", "collapsed-xor-var", "active-boolean", "classical-residual"],
 )
 @pytest.mark.parametrize("chunk_amps", [None, 2])
 def test_cross_check_fails_mutated_reports_as_the_per_input_loop_does(
@@ -433,3 +469,59 @@ def test_cross_check_fails_mutated_reports_as_the_per_input_loop_does(
     assert not passed
     assert (result.passed, result.inputs_checked, result.witness, result.detail) == (
         passed, count, witness, detail)
+
+
+def test_predictions_never_write_into_the_input_columns(monkeypatch):
+    # a pure line's prediction is its input column itself; read-only input
+    # columns make any write through the sweep, the comparison or the dense
+    # confirmation of a flagged input raise
+    monkeypatch.setattr(oracle, "_CHUNK_AMPS", 2)
+    seen, make = [], oracle._input_bits
+
+    def read_only_input_bits(names, rows):
+        cols = make(names, rows)
+        for col in cols.values():
+            col.flags.writeable = False
+        seen.append((cols, {n: col.copy() for n, col in cols.items()}))
+        return cols
+
+    monkeypatch.setattr(oracle, "_input_bits", read_only_input_bits)
+    c = Circuit.parse(_COLLAPSED)
+    report = evaluate(c)
+    inputs = read_only_input_bits(c.line_names, range(8))
+    assert oracle._predict(TargetState(Anf.var("b"), 1, MlPoly.zero()), inputs, 8) is inputs["b"]
+    assert cross_check(c, report).passed
+    mutated = _collapsed_xor_var(report)
+    result = cross_check(c, mutated)
+    assert (result.passed, result.inputs_checked, result.witness, result.detail) == (
+        _per_input_cross_check(c, mutated))
+    assert len(seen) > 2
+    for cols, before in seen:
+        assert all(np.array_equal(cols[n], before[n]) for n in before)
+
+
+def _perturb_one_line(report, rng):
+    """One random line off by one: a Boolean value XOR a variable, or a residual
+    exponent's constant coefficient plus one."""
+    names = sorted(report.outcomes)
+    line = rng.choice(names)
+    oc = report.outcomes[line]
+    if oc.value is not None:
+        return _with_outcome(report, line, value=oc.value ^ Anf.var(rng.choice(names)))
+    return _mutate(report, line, exponent=_plus_one(oc.state.exponent))
+
+
+@pytest.mark.parametrize("chunk_amps", [None, 2])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cross_check_of_a_perturbed_line_agrees_with_the_per_input_loop(chunk_amps, seed):
+    rng = random.Random(seed)
+    c = random_valid_circuit(rng, max_lines=5)
+    report = _perturb_one_line(evaluate(c), rng)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_amps:
+            mp.setattr(oracle, "_CHUNK_AMPS", chunk_amps)
+        result = cross_check(c, report)
+    assert not result.passed
+    assert (result.passed, result.inputs_checked, result.witness, result.detail) == (
+        _per_input_cross_check(c, report))
