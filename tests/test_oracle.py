@@ -368,10 +368,13 @@ def _per_input_cross_check(circuit, report, atol=1e-9):
     return True, count, None, None
 
 
-def _mutate(report, line, **changes):
+def _with_outcome(report, line, **changes):
     oc = report.outcomes[line]
-    state = replace(oc.state, **changes)
-    return replace(report, outcomes={**report.outcomes, line: replace(oc, state=state)})
+    return replace(report, outcomes={**report.outcomes, line: replace(oc, **changes)})
+
+
+def _mutate(report, line, **changes):
+    return _with_outcome(report, line, state=replace(report.outcomes[line].state, **changes))
 
 
 def _plus_one(poly, monomial=frozenset()):
@@ -413,11 +416,6 @@ def _deep_off_by_one(report):
 # t collapses to t ^ a ^ b ^ a&b; a and b stay pure
 _COLLAPSED = "line a\nline b\nline t target\nv a -> t\ncnot b a\nv a -> t\nv b -> t\n"
 _V_TWICE = "line a\nline t target\nv a -> t\nv a -> t\n"
-
-
-def _with_outcome(report, line, **changes):
-    oc = report.outcomes[line]
-    return replace(report, outcomes={**report.outcomes, line: replace(oc, **changes)})
 
 
 def _pure_xor_one(report):
@@ -476,13 +474,13 @@ def test_predictions_never_write_into_the_input_columns(monkeypatch):
     # columns make any write through the sweep, the comparison or the dense
     # confirmation of a flagged input raise
     monkeypatch.setattr(oracle, "_CHUNK_AMPS", 2)
-    seen, make = [], oracle._input_bits
+    chunks, make = [], oracle._input_bits
 
     def read_only_input_bits(names, rows):
         cols = make(names, rows)
         for col in cols.values():
             col.flags.writeable = False
-        seen.append((cols, {n: col.copy() for n, col in cols.items()}))
+        chunks.append(rows)
         return cols
 
     monkeypatch.setattr(oracle, "_input_bits", read_only_input_bits)
@@ -495,9 +493,7 @@ def test_predictions_never_write_into_the_input_columns(monkeypatch):
     result = cross_check(c, mutated)
     assert (result.passed, result.inputs_checked, result.witness, result.detail) == (
         _per_input_cross_check(c, mutated))
-    assert len(seen) > 2
-    for cols, before in seen:
-        assert all(np.array_equal(cols[n], before[n]) for n in before)
+    assert len(chunks) > 2          # cross_check read its chunks through the wrapper
 
 
 def _perturb_one_line(report, rng):
