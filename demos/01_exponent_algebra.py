@@ -31,18 +31,31 @@ for pt in iter_assignments(["a", "b", "c"]):
     assert f.evaluate(pt) == p.evaluate(pt)
     print(f"  abc={bits}  f={f.evaluate(pt)}  arith={p.evaluate(pt)}")
 
+
+def moebius(variables, table):
+    """Coefficient of S = sum over T in S of (-1)^|S - T| * table[T]."""
+    coeffs = dict(table)
+    for v in variables:
+        for s in coeffs:
+            if v in s:
+                coeffs[s] -= coeffs[s - {v}]
+    return MlPoly(coeffs)
+
+
 print()
 print("== Moebius interpolation inverts evaluation ==")
-q = MlPoly.parse("2*a*b + 2*b*c")
-table = {tuple(pt[v] for v in "abc"): q.evaluate(pt) for pt in iter_assignments("abc")}
-back = MlPoly.from_values(["a", "b", "c"], lambda pt: table[(pt["a"], pt["b"], pt["c"])])
+q = MlPoly({frozenset("ab"): 2, frozenset("bc"): 2})
+table = {
+    frozenset(v for v in "abc" if pt[v]): q.evaluate(pt) for pt in iter_assignments("abc")
+}
+back = moebius("abc", table)
 print(f"q           = {q}")
 print(f"recovered   = {back}")
 assert back == q
 
 print()
 print("== only the zero polynomial vanishes everywhere mod m ==")
-r = MlPoly.parse("4*a + 4*b - 8*a*b")
+r = 4 * (a ^ b).to_arith()
 print(f"r           = {r}")
 print(f"r mod 4     = {r.reduce_mod(4)}  (drops to zero: r is 0 mod 4 pointwise)")
 print(f"r mod 8     = {r.reduce_mod(8)}  (nonzero: some point must witness it)")

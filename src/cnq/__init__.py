@@ -18,7 +18,6 @@ from .errors import (
     DEFAULT_SIM_GUARD,
     BadRootError,
     CnqError,
-    EnumerationLimitError,
     LineMismatchError,
     ParseError,
     SelfControlError,
@@ -92,7 +91,6 @@ __all__ = [
     "CrossCheckResult",
     "DEFAULT_ENUM_GUARD",
     "DEFAULT_SIM_GUARD",
-    "EnumerationLimitError",
     "Episode",
     "EpisodeTerm",
     "EquivVerdict",

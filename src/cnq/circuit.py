@@ -153,12 +153,6 @@ class Circuit:
     def line_names(self) -> tuple[str, ...]:
         return tuple(ln.name for ln in self.lines)
 
-    def line(self, name: str) -> Line:
-        for ln in self.lines:
-            if ln.name == name:
-                return ln
-        raise UndeclaredLineError(f"no line named {name!r}")
-
     def target_names(self) -> tuple[str, ...]:
         return tuple(ln.name for ln in self.lines if ln.is_target)
 

@@ -84,12 +84,6 @@ class UnboundVariableError(CnqError):
     code = "E_UNBOUND_VAR"
 
 
-class EnumerationLimitError(CnqError):
-    """Too many variables for exhaustive {0,1}^n enumeration."""
-
-    code = "E_TOO_MANY_VARS"
-
-
 # Dense simulation is refused beyond this many lines.  It lives here, not in
 # ``oracle``, so that the CLI can offer it as a default without loading numpy.
 DEFAULT_SIM_GUARD = 12

@@ -20,20 +20,22 @@ Reduced folds are memoized in a small LRU keyed by (monomials, modulus),
 so a control that recurs across gates and evaluations is folded once; the
 result is shared between callers, which is why an :class:`MlPoly` is
 treated as an immutable value.
-``MlPoly.from_values`` interpolates the unique multilinear polynomial
-through a value table on {0,1}^n (the coefficient/value transform is
-unimodular, hence exactly invertible over the integers).
+
+Only Boolean expressions are read from text (``Anf.parse``, the spec
+grammar); exponent polynomials are built from them by ``to_arith`` and
+combined with ring operations, never parsed.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 
-from .errors import EnumerationLimitError, ParseError, UnboundVariableError
+from .errors import ParseError, UnboundVariableError
 
-# Exhaustive enumeration over {0,1}^n is refused above this many variables.
+# Default bound on the variables over which ``check_spec`` searches {0,1}^n
+# for a failing spec's witness; above it the verdict has no witness.
 DEFAULT_ENUM_GUARD = 20
 
 Assignment = Mapping[str, int]
@@ -277,60 +279,6 @@ class MlPoly:
     def zero(cls) -> "MlPoly":
         return cls()
 
-    @classmethod
-    def constant(cls, c: int) -> "MlPoly":
-        return cls({frozenset(): c})
-
-    @classmethod
-    def var(cls, name: str) -> "MlPoly":
-        return cls({frozenset([check_var_name(name)]): 1})
-
-    @classmethod
-    def parse(cls, text: str) -> "MlPoly":
-        """Parse ``2*a*b - c + 3`` syntax (sums of integer-scaled products)."""
-        return _ExprParser(text).run_poly()
-
-    @classmethod
-    def from_values(
-        cls,
-        variables: Sequence[str],
-        values: Callable[[Assignment], int] | Mapping[tuple, int],
-        *,
-        guard: int = DEFAULT_ENUM_GUARD,
-    ) -> "MlPoly":
-        """Interpolate the unique multilinear polynomial through a value table.
-
-        ``values`` is either a callable on assignments or a mapping keyed by
-        bit tuples aligned with ``variables``.  Runs the subset (Moebius)
-        transform in place: the coefficient of monomial S is
-        sum over T subset of S of (-1)^|S minus T| * value(indicator of T).
-        """
-        vs = [check_var_name(v) for v in variables]
-        if len(set(vs)) != len(vs):
-            raise ParseError("duplicate variable in interpolation basis")
-        n = len(vs)
-        if n > guard:
-            raise EnumerationLimitError(
-                f"{n} variables exceed the enumeration guard ({guard})"
-            )
-        table = [0] * (1 << n)
-        for mask in range(1 << n):
-            bits = tuple((mask >> j) & 1 for j in range(n))
-            if callable(values):
-                table[mask] = int(values({vs[j]: bits[j] for j in range(n)}))
-            else:
-                table[mask] = int(values[bits])
-        for j in range(n):
-            bit = 1 << j
-            for mask in range(1 << n):
-                if mask & bit:
-                    table[mask] -= table[mask ^ bit]
-        terms = {}
-        for mask in range(1 << n):
-            if table[mask]:
-                terms[frozenset(vs[j] for j in range(n) if mask >> j & 1)] = table[mask]
-        return cls(terms)
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "MlPoly") -> "MlPoly":
@@ -433,19 +381,19 @@ class MlPoly:
         return f"MlPoly({str(self)!r})"
 
 
-# -- shared expression parser ----------------------------------------------
+# -- expression parser -----------------------------------------------------
 
 # A token, or (second group) any other visible character, which is an error.
+# '*', '+' and '-' are tokens that no rule accepts, so a spec refuses them by
+# name at their column rather than as stray characters.
 _EXPR_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|\d+|->|[()^&*+-])|(\S)")
 
 
 class _ExprParser:
-    """Recursive-descent parser for both expression grammars.
+    """Recursive-descent parser for the spec grammar of :class:`Anf`.
 
-    Anf:     expr := term ('^' term)* ; term := factor ('&' factor)* ;
-             factor := '0' | '1' | var | '(' expr ')'
-    MlPoly:  poly := ['-'] prod (('+'|'-') prod)* ; prod := atom ('*' atom)* ;
-             atom := integer | var
+    expr := term ('^' term)* ; term := factor ('&' factor)* ;
+    factor := '0' | '1' | var | '(' expr ')'
 
     Parses ``text[start:]``; every column is 1-based and counted in ``text``.
     """
@@ -518,32 +466,3 @@ class _ExprParser:
         if _VAR_RE.match(tok):      # a checked name: skip Anf.var's second check
             return Anf._from_monomials(frozenset((frozenset((tok,)),)))
         raise ParseError(f"expected a variable, constant or '(', got {tok!r}", col=col)
-
-    # MlPoly grammar
-
-    def run_poly(self) -> MlPoly:
-        acc = MlPoly.zero()
-        sign = 1
-        if self._peek() in ("+", "-"):
-            sign = -1 if self._next()[0] == "-" else 1
-        acc = acc + self._poly_prod(sign)
-        while self._peek() in ("+", "-"):
-            sign = -1 if self._next()[0] == "-" else 1
-            acc = acc + self._poly_prod(sign)
-        self._expect_end()
-        return acc
-
-    def _poly_prod(self, sign: int) -> MlPoly:
-        coeff = sign
-        monomial: set[str] = set()
-        while True:
-            tok, col = self._next()
-            if tok.isdigit():
-                coeff *= int(tok)
-            elif _VAR_RE.match(tok):
-                monomial.add(tok)
-            else:
-                raise ParseError(f"expected a variable or integer, got {tok!r}", col=col)
-            if self._peek() != "*":
-                return MlPoly({frozenset(monomial): coeff})
-            self._next()

@@ -48,13 +48,15 @@ class TargetState:
     def rebased(self, k_new: int) -> "TargetState":
         """Express the same state over a finer root: exponents scale by k_new/k_root.
 
-        The exponent is kept canonical, so the state's own root returns it as is.
+        ``k_new`` must be ``k_root`` times a power of two.  The exponent is
+        kept canonical, so the state's own root returns it as is.
         """
-        if k_new % self.k_root:
+        factor, rest = divmod(k_new, self.k_root)
+        if factor < 1 or rest or factor & (factor - 1):
             raise ValueError(f"cannot rebase root {self.k_root} onto {k_new}")
-        if k_new == self.k_root:
+        if factor == 1:
             return self
-        factor, m = k_new // self.k_root, 2 * k_new
+        m = 2 * k_new
         terms = {
             mono: r for mono, c in self.exponent.terms.items() if (r := c * factor % m)
         }

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from cnq import Circuit
+from cnq import Circuit, MlPoly
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -13,6 +13,11 @@ def fixture_path(name: str) -> Path:
 
 def load(name: str) -> Circuit:
     return Circuit.parse(fixture_path(name).read_text())
+
+
+def poly(terms: dict[str, int]) -> MlPoly:
+    """``poly({"a*b": 2, "1": 3})`` is 2ab + 3: each key is '*'-joined variables."""
+    return MlPoly({frozenset(k.split("*")) - {"1"}: c for k, c in terms.items()})
 
 
 @pytest.fixture

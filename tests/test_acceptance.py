@@ -25,7 +25,7 @@ from cnq import (
 )
 from cnq.cli import main
 
-from conftest import fixture_path, load
+from conftest import fixture_path, load, poly
 
 ALL_FIXTURES = [
     "fig1", "fig2", "fig3", "fig4", "fig4_pre", "fig5", "fig6", "lonely_v", "broken",
@@ -49,16 +49,16 @@ def test_criterion_01_cascade_fixtures_verify():
 
 def test_criterion_02_golden_exponents():
     oc = evaluate(load("fig2")).outcomes["t"]
-    assert oc.state.exponent == MlPoly.parse("2*a*b + 2*b*c")
+    assert oc.state.exponent == poly({"a*b": 2, "b*c": 2})
     assert oc.state.k_root == 2
 
     out = evaluate(load("fig6")).outcomes
     c_state = out["c"].state.rebased(4)              # canonical at the circuit root
-    assert c_state.exponent == MlPoly.parse("4*a*b")
+    assert c_state.exponent == poly({"a*b": 4})
     assert c_state.exponent.reduce_mod(8) == c_state.exponent
     d_state = out["d"].state
     assert d_state.k_root == 4
-    assert d_state.exponent == MlPoly.parse("4*a*b*c")
+    assert d_state.exponent == poly({"a*b*c": 4})
     assert d_state.exponent.reduce_mod(8) == d_state.exponent
     _report(2, "fig2 exponent 2ab+2bc; fig6 exponents 4ab and 4abc mod 8")
 

@@ -39,10 +39,8 @@ FIGS = ["fig1", "fig2", "fig3", "fig4", "fig4_pre", "fig5", "fig6"]
 def test_parse_lines_and_roles(fig2):
     assert fig2.line_names == ("a", "b", "c", "t")
     assert fig2.target_names() == ("t",)
-    assert fig2.line("a").role == "control"
-    assert fig2.line("t").role == "target"
-    with pytest.raises(UndeclaredLineError):
-        fig2.line("z")
+    roles = {ln.name: ln.role for ln in fig2.lines}
+    assert roles == {"a": "control", "b": "control", "c": "control", "t": "target"}
 
 
 def test_parse_comments_and_blank_lines():
@@ -147,6 +145,25 @@ def test_parse_errors_carry_location(text, err, loc):
     assert e.value.line == line
     if col is not None:
         assert e.value.col == col
+
+
+# '*', '+', '-' and integers are tokens of the expression lexer that no spec
+# rule accepts: each is refused by name, at its own column
+@pytest.mark.parametrize(
+    "expr,loc,message",
+    [
+        ("t ^ a*b", (4, 15), "unexpected token '*'"),
+        ("t + a", (4, 12), "unexpected token '+'"),
+        ("t - a", (4, 12), "unexpected token '-'"),
+        ("t ^ 2", (4, 14), "expected a variable, constant or '(', got '2'"),
+        ("-a", (4, 10), "expected a variable, constant or '(', got '-'"),
+        ("t ^ a -> b", (4, 16), "unexpected token '->'"),
+    ],
+)
+def test_spec_refuses_tokens_outside_its_grammar(expr, loc, message):
+    with pytest.raises(ParseError) as e:
+        Circuit.parse(f"line a\nline b\nline t target\nspec t = {expr}\n")
+    assert (e.value.line, e.value.col, e.value.message) == (*loc, message)
 
 
 _NAME_AT = re.compile(r"(?<![A-Za-z0-9_])[A-Za-z_][A-Za-z0-9_]*")

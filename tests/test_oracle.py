@@ -34,7 +34,7 @@ from cnq import (
 )
 from cnq.circuit import MAX_ROOT
 
-from conftest import load
+from conftest import load, poly
 
 NOT = np.array([[0, 1], [1, 0]], dtype=complex)
 EYE = np.eye(2, dtype=complex)
@@ -233,14 +233,13 @@ def test_cross_check_rejects_mismatched_report(fig2, fig6):
 def test_cross_check_separates_adjacent_exponents_at_the_root_limit():
     from dataclasses import replace
 
-    from cnq import MlPoly
     from cnq.circuit import MAX_ROOT
 
     c = Circuit.parse(f"line a\nline t target\nq k={MAX_ROOT} p=1 a -> t\n")
     report = evaluate(c)
     assert cross_check(c, report).passed
     oc = report.outcomes["t"]
-    off_by_one = replace(oc.state, exponent=MlPoly.parse("2*a"))
+    off_by_one = replace(oc.state, exponent=poly({"a": 2}))
     off = replace(report, outcomes={**report.outcomes, "t": replace(oc, state=off_by_one)})
     result = cross_check(c, off)
     assert not result.passed
@@ -251,7 +250,7 @@ def test_a_flagged_input_that_passes_dense_confirmation_is_cleared(monkeypatch):
     # with atol = 5e-6, exponent 2*a for a at k = 2^20 is off by more than delta
     # = atol / 6 on both inputs with a = 1, yet within atol on the dense check
     c = Circuit.parse(f"line a\nline t target\nq k={MAX_ROOT} p=1 a -> t\n")
-    off = _mutate(evaluate(c), "t", exponent=MlPoly.parse("2*a"))
+    off = _mutate(evaluate(c), "t", exponent=poly({"a": 2}))
     monkeypatch.setattr(oracle, "CROSS_CHECK_ATOL", 5e-6)
     points, dense = [], oracle.simulate
 
@@ -434,7 +433,7 @@ def _active_boolean(report):
 
 def _classical_residual(report):
     # b is pure, so the sweep keeps it a bit column, but the report says V|b>
-    state = TargetState(report.outcomes["b"].value, 2, MlPoly.parse("1"))
+    state = TargetState(report.outcomes["b"].value, 2, poly({"1": 1}))
     return _with_outcome(report, "b", value=None, state=state)
 
 

@@ -30,7 +30,7 @@ from cnq import (
 from cnq.circuit import MAX_ROOT
 from cnq.symbolic import _evaluate
 
-from conftest import load
+from conftest import load, poly
 
 VARS = ["a", "b", "c"]
 monomials = st.frozensets(st.sampled_from(VARS), max_size=3)
@@ -53,16 +53,16 @@ def target_states(draw):
 def test_absorb_accumulates_powers():
     st0 = TargetState(Anf.var("t"), 2, MlPoly.zero())
     st1 = st0.absorb(2, 1, Anf.var("a")).absorb(2, 1, Anf.var("b"))
-    assert st1.exponent == MlPoly.parse("a + b")
+    assert st1.exponent == poly({"a": 1, "b": 1})
     assert st1.k_root == 2
 
 
 def test_absorb_rebases_to_finer_root():
-    st0 = TargetState(Anf.var("t"), 2, MlPoly.var("a"))
+    st0 = TargetState(Anf.var("t"), 2, poly({"a": 1}))
     st1 = st0.absorb(4, 1, Anf.var("b"))
     # old exponent doubles: one quarter-turn is two eighth-turns
     assert st1.k_root == 4
-    assert st1.exponent == MlPoly.parse("2*a + b")
+    assert st1.exponent == poly({"a": 2, "b": 1})
 
 
 def test_absorb_reduces_mod_two_k():
@@ -72,20 +72,27 @@ def test_absorb_reduces_mod_two_k():
 
 
 def test_rebase_rejects_coarser_root():
-    st0 = TargetState(Anf.var("t"), 4, MlPoly.var("a"))
+    st0 = TargetState(Anf.var("t"), 4, poly({"a": 1}))
     with pytest.raises(ValueError):
         st0.rebased(2)
     with pytest.raises(ValueError):
         st0.rebased(6)
 
 
+@pytest.mark.parametrize("k_root,k_new", [(2, 0), (2, -2), (2, -4), (2, 3), (2, 6), (1, 3)])
+def test_rebase_rejects_a_root_that_is_not_a_finer_root(k_root, k_new):
+    st0 = TargetState(Anf.var("t"), k_root, poly({"a": 1}))
+    with pytest.raises(ValueError, match=f"^cannot rebase root {k_root} onto {k_new}$"):
+        st0.rebased(k_new)
+
+
 def test_collapse_examples():
     t = Anf.var("t")
     assert TargetState(t, 2, MlPoly.zero()).collapse() == t
-    assert TargetState(t, 2, MlPoly.parse("2*a*b")).collapse() == Anf.parse("t ^ a&b")
-    assert TargetState(t, 2, MlPoly.parse("a")).collapse() is None
-    assert TargetState(t, 2, MlPoly.parse("2*a + b")).collapse() is None
-    assert TargetState(t, 4, MlPoly.parse("4*a + 4*b*c")).collapse() == Anf.parse(
+    assert TargetState(t, 2, poly({"a*b": 2})).collapse() == Anf.parse("t ^ a&b")
+    assert TargetState(t, 2, poly({"a": 1})).collapse() is None
+    assert TargetState(t, 2, poly({"a": 2, "b": 1})).collapse() is None
+    assert TargetState(t, 4, poly({"a": 4, "b*c": 4})).collapse() == Anf.parse(
         "t ^ a ^ b&c"
     )
 
@@ -143,7 +150,7 @@ def test_rebase_preserves_normalized_exponent(state):
 def test_normalized_exponent_folds_base():
     # Q^K applied to |1> equals Q^(E+K) applied to |0>
     a = TargetState(Anf.var("a"), 2, MlPoly.zero())
-    b = TargetState(Anf.zero(), 2, MlPoly.parse("2*a"))
+    b = TargetState(Anf.zero(), 2, poly({"a": 2}))
     assert a.normalized_exponent() == b.normalized_exponent()
 
 
@@ -155,17 +162,17 @@ def test_fig2_golden_exponent(fig2):
     assert oc.status == "collapsed"
     assert oc.value == Anf.parse("t ^ a&b ^ b&c")
     assert oc.state.k_root == 2
-    assert oc.state.exponent == MlPoly.parse("2*a*b + 2*b*c")
+    assert oc.state.exponent == poly({"a*b": 2, "b*c": 2})
     assert oc.state.base == Anf.var("t")
 
 
 def test_fig6_golden_exponents(fig6):
     out = evaluate(fig6).outcomes
     assert out["c"].value == Anf.parse("c ^ a&b")
-    assert out["c"].state.rebased(4).exponent == MlPoly.parse("4*a*b")
+    assert out["c"].state.rebased(4).exponent == poly({"a*b": 4})
     assert out["d"].value == Anf.parse("d ^ a&b&c")
     assert out["d"].state.k_root == 4
-    assert out["d"].state.exponent == MlPoly.parse("4*a*b*c")
+    assert out["d"].state.exponent == poly({"a*b*c": 4})
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig4_pre", "fig5"])
@@ -193,7 +200,7 @@ def test_not_family_on_tainted_line_is_absorbed():
     c = Circuit.parse("line a\nline b\nline t target\nv a -> t\ncnot b t\n")
     oc = evaluate(c).outcomes["t"]
     assert oc.status == "residual"
-    assert oc.state.exponent == MlPoly.parse("a + 2*b")
+    assert oc.state.exponent == poly({"a": 1, "b": 2})
 
 
 def test_residual_line_warns():
@@ -237,7 +244,7 @@ def test_emergent_and_from_linear_controls():
     )
     oc = evaluate(c).outcomes["t"]
     assert oc.value == Anf.parse("t ^ a&b")
-    assert oc.state.exponent == MlPoly.parse("2*a*b")
+    assert oc.state.exponent == poly({"a*b": 2})
 
 
 def test_tainted_control_collapses_before_use(fig6):
@@ -388,7 +395,7 @@ def test_a_finer_root_rescales_earlier_sums(monkeypatch):
     calls = _absorbs(monkeypatch)
     c = Circuit.parse("line a\nline b\nline t target\nv a -> t\nw b -> t\nv a -> t\n")
     st0 = _evaluate(c).outcomes["t"].state
-    assert (st0.k_root, st0.exponent) == (4, MlPoly.parse("4*a + b"))
+    assert (st0.k_root, st0.exponent) == (4, poly({"a": 4, "b": 1}))
     assert calls == [(1, 1, Anf.var("a")), (4, 1, Anf.var("b"))]
     assert st0 == _gate_by_gate(c).outcomes["t"].state
 
@@ -402,7 +409,7 @@ def test_a_target_driving_a_control_shows_the_gate_by_gate_exponent():
     )
     report = _evaluate(c)
     # a ^ b's total is 2 + 2 = K and a's is 1 + 7 = 0 mod 2K
-    shown = TargetState(Anf.var("t"), 4, MlPoly.parse("4*a + 4*b"))
+    shown = TargetState(Anf.var("t"), 4, poly({"a": 4, "b": 4}))
     assert report.outcomes["t"].state == shown
     assert report.trace[6].resolved_control == Anf.parse("t ^ a ^ b")
     assert report.outcomes["u"].value == Anf.parse("u ^ t ^ a ^ b ^ a&b")
@@ -591,7 +598,7 @@ def test_no_collapse_witness_leaves_the_basis():
     )
     (verdict,) = check_spec(c)
     assert verdict.code == "E_NO_COLLAPSE"
-    assert verdict.actual_state.exponent == MlPoly.parse("a + 2*b + 2*c")
+    assert verdict.actual_state.exponent == poly({"a": 1, "b": 2, "c": 2})
     assert verdict.witness == {"a": 1, "b": 0, "c": 0}
 
 
