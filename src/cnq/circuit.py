@@ -57,7 +57,7 @@ def _is_power_of_two(k: int) -> bool:
     return isinstance(k, int) and k >= 1 and (k & (k - 1)) == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Line:
     name: str
     is_target: bool = False
@@ -67,7 +67,7 @@ class Line:
         return "target" if self.is_target else "control"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """Q^p on ``target`` under the conjunction of ``controls`` (k-th root Q).
 

@@ -7,7 +7,8 @@ on a dense statevector of 2^n amplitudes.  ``_sweep`` runs every basis
 input at once: a line stays a column of bits until a gate could put it in
 superposition, and from then on it is one axis of a joint block of
 amplitudes that all such lines share, so entangled states are simulated
-exactly.
+exactly.  The block's last axis is the input rows, so every slice a gate
+update touches is a run of contiguous rows, one per input.
 
 ``cross_check`` is the bridge: it compares the swept states on every
 basis input with the tensor product predicted by an evaluation report,
@@ -78,7 +79,7 @@ def q_matrix(k: int, p: int) -> np.ndarray:
     return np.array([[d, o], [o, d]], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateVector:
     """2^n complex amplitudes over named lines (first line = high bit)."""
 
@@ -128,10 +129,12 @@ class StateVector:
 def _update(amps: np.ndarray, axis, controls, target: str, o) -> None:
     """Apply Q^p = [[d, o], [o, d]] in place to ``target``'s axis where every control is 1.
 
-    ``axis`` maps a line name to its axis of ``amps``.  ``o`` is a scalar,
-    or an array that broadcasts over the selected slices.  Each control
-    and the target is selected by a length-one slice, so the two slices
-    stay views that keep every axis, even when every axis is fixed.
+    ``axis`` maps a line name to its axis of ``amps``; any axis it never
+    names is left whole, as the sweep's last axis, the input rows, is.
+    ``o`` is a scalar, or an array that broadcasts over the selected
+    slices, such as one entry per row.  Each control and the target is
+    selected by a length-one slice, so the two slices stay views that keep
+    every axis, even when every axis is fixed.
     d + o = 1, so the update is lo -= o*(lo - hi), hi += o*(lo - hi): one
     slice-sized temporary, written back through the views.
     """
@@ -197,6 +200,8 @@ class _Sweep(NamedTuple):
     A classical line is still a basis state on every input: ``bits`` holds
     its bit per row.  The active lines share ``block``, the joint amplitudes
     of shape (rows, 2^len(active)), first active line most significant.
+    ``block`` is a transposed view: the sweep holds the amplitudes with
+    the rows innermost, so ``block.T`` is the contiguous array.
     """
 
     bits: dict[str, np.ndarray]
@@ -227,52 +232,54 @@ def _input_bits(names: tuple[str, ...], rows: range) -> dict[str, np.ndarray]:
     return {name: (idx >> (n - 1 - j)) & 1 == 1 for j, name in enumerate(names)}
 
 
-def _stays_classical(gate: Gate, active) -> bool:
-    return gate.is_not_family and gate.target not in active and not any(
-        c in active for c in gate.controls
-    )
+def _stays_classical(gate: Gate, axis) -> bool:
+    """Whether ``gate`` leaves its target classical, given the active lines' ``axis`` map."""
+    return gate.is_not_family and gate.target not in axis and axis.keys().isdisjoint(gate.controls)
 
 
 def _active_lines(circuit: Circuit) -> list[str]:
     """The lines the sweep activates, in order; they depend only on the gates."""
-    active: list[str] = []
+    active: dict[str, None] = {}
     for g in circuit.gates:
-        if not _stays_classical(g, active) and g.target not in active:
-            active.append(g.target)
-    return active
+        if not _stays_classical(g, active):
+            active[g.target] = None
+    return list(active)
 
 
 def _sweep(circuit: Circuit, inputs: dict[str, np.ndarray], size: int) -> _Sweep:
     """Run the circuit at once on the ``size`` basis inputs whose bits ``inputs`` holds.
 
+    The joint block has shape (2,) * len(active) + (size,): one axis per
+    active line, in order of activation, and the input rows last, so that
+    each slice ``_update`` reads or writes is a run of contiguous rows.
     A NOT-family gate on classical lines XORs its control product into the
     target's bits.  Any other gate first activates a classical target,
     splitting the block on the target's bit into one new array, then
     applies ``_update`` in place to the block, selecting the ``1`` slice
     of each active control's axis; rows whose classical controls fail get
-    o = 0, which leaves them as they are.  ``inputs`` is left unchanged.
+    o = 0, a per-row factor that broadcasts over the last axis, which
+    leaves them as they are.  ``inputs`` is left unchanged.
     """
     bits = dict(inputs)
     axis: dict[str, int] = {}       # each active line's axis of the block, in order
-    block = np.ones((size, 1), dtype=np.complex128)
+    block = np.ones(size, dtype=np.complex128)
     for g in circuit.gates:
         if _stays_classical(g, axis):
             bits[g.target] = bits[g.target] ^ _and(bits, g.controls, size)
             continue
         if g.target not in axis:
-            col = bits.pop(g.target)[:, None]
-            grown = np.empty((size, block.shape[1], 2), dtype=np.complex128)
-            np.multiply(block, ~col, out=grown[:, :, 0])
-            np.multiply(block, col, out=grown[:, :, 1])
-            block = grown.reshape(size, -1)
-            axis[g.target] = 1 + len(axis)
+            col = bits.pop(g.target)
+            grown = np.empty(block.shape[:-1] + (2, size), dtype=np.complex128)
+            np.multiply(block, ~col, out=grown[..., 0, :])
+            np.multiply(block, col, out=grown[..., 1, :])
+            block = grown
+            axis[g.target] = len(axis)
         _, o = _gate_turn(g.k, g.p)
         classical = [c for c in g.controls if c in bits]
         if classical:
-            o = np.where(_and(bits, classical, size), o, 0).reshape((size,) + (1,) * len(axis))
-        amps = block.reshape((size,) + (2,) * len(axis))
-        _update(amps, axis.__getitem__, [c for c in g.controls if c in axis], g.target, o)
-    return _Sweep(bits, tuple(axis), block)
+            o = _and(bits, classical, size) * o
+        _update(block, axis.__getitem__, [c for c in g.controls if c in axis], g.target, o)
+    return _Sweep(bits, tuple(axis), block.reshape(-1, size).T)
 
 
 # -- the prediction --------------------------------------------------------------
@@ -318,7 +325,10 @@ def _flagged(circuit: Circuit, inputs, size: int, preds, delta: float) -> np.nda
     prediction is off exactly where its bit differs from the predicted
     bit.  The predicted product of the active lines is subtracted from the
     swept block in place, its last factor one slice at a time, so besides
-    the block only a half-block temporary is ever held.
+    the block only a half-block temporary is ever held.  The product and
+    the subtraction work on ``block.T``, the block with its rows innermost
+    as the sweep made it, so each factor and each subtraction runs over
+    contiguous rows.
     """
     bits, active, block = _sweep(circuit, inputs, size)
     flagged = np.zeros(size, dtype=bool)
@@ -330,14 +340,15 @@ def _flagged(circuit: Circuit, inputs, size: int, preds, delta: float) -> np.nda
         else:
             flagged |= bit != pred
     if active:                  # with none, the block is all ones, as predicted
-        joint = np.ones((size, 1), dtype=np.complex128)
+        amps = block.T          # (2^len(active), rows), contiguous
+        joint = np.ones((1, size), dtype=np.complex128)
         for name in active[:-1]:
-            pair = np.stack(_pair(preds[name]), axis=-1)
-            joint = (joint[:, :, None] * pair[:, None, :]).reshape(size, -1)
-        halves = block.reshape(size, -1, 2)
+            pair = np.stack(_pair(preds[name]))
+            joint = (joint[:, None, :] * pair[None, :, :]).reshape(-1, size)
+        halves = amps.reshape(-1, 2, size)
         for b, pred in enumerate(_pair(preds[active[-1]])):
-            halves[:, :, b] -= joint * pred[:, None]
-        flagged |= np.max(np.abs(block), axis=1) > delta
+            halves[:, b, :] -= joint * pred
+        flagged |= np.max(np.abs(amps), axis=0) > delta
     return flagged
 
 

@@ -37,7 +37,7 @@ from .errors import LineMismatchError, TargetInteractionError
 from .expr import DEFAULT_ENUM_GUARD, Anf, MlPoly, display_anf, iter_assignments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TargetState:
     """Q^exponent applied to a Boolean base value (Q the k_root-th root of NOT)."""
 
@@ -109,7 +109,7 @@ class TargetState:
         return f"root k={self.k_root}, exponent {self.exponent}, base {self.base}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineOutcome:
     """Final value of one line: a Boolean form and/or the exponent state.
 
@@ -132,7 +132,7 @@ class LineOutcome:
         return "pure" if self.state is None else "collapsed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateRecord:
     """Trace entry: the control one gate resolved to; ``EvalReport.episodes`` holds its episode."""
 
@@ -167,7 +167,7 @@ class Episode(NamedTuple):
     terms: tuple[EpisodeTerm, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalReport:
     """One evaluation of a circuit: line outcomes, a trace record per gate, the episodes.
 
@@ -288,8 +288,10 @@ class _Episode:
 
 
 def _evaluate(circuit: Circuit) -> EvalReport:
+    # each line starts as its own variable; Circuit has checked every name
     states: dict[str, Anf | _Episode] = {
-        ln.name: Anf.var(ln.name) for ln in circuit.lines
+        ln.name: Anf._from_monomials(frozenset((frozenset((ln.name,)),)))
+        for ln in circuit.lines
     }
     last_state: dict[str, TargetState] = {}
     trace: list[GateRecord] = []

@@ -331,6 +331,30 @@ def test_passing_cross_check_never_simulates(monkeypatch):
     assert calls == []
 
 
+def test_sweep_updates_run_over_contiguous_rows(monkeypatch):
+    """Every gate update of the sweep sees the input rows as its last, unit-stride axis.
+
+    Two targets are active at once, and classical controls (x1, x3) meet
+    active gates, so the updates see one and two line axes and a per-row o.
+    """
+    c = Circuit.parse(
+        "line x0\nline x1\nline x2\nline x3\nline t target\nline u target\n"
+        "v x0 -> t\nw x1 -> u\nv* x2 x1 -> t\ncnot x0 x3\nw* x3 -> u\nv -> t\n"
+    )
+    update = oracle._update
+    seen = []
+
+    def spy(amps, *args):
+        seen.append(amps)
+        update(amps, *args)
+
+    monkeypatch.setattr(oracle, "_update", spy)
+    assert cross_check(c, evaluate(c)).passed
+    assert len(seen) == 5 and {amps.ndim for amps in seen} == {2, 3}
+    for amps in seen:
+        assert amps.shape[-1] == 64 and amps.strides[-1] == amps.itemsize
+
+
 def test_cross_check_of_twelve_active_lines_stays_near_its_chunk_cap():
     # every line is active, so each 16 MB chunk fills the whole amplitude cap
     n = 12

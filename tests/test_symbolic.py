@@ -1,5 +1,6 @@
 """Symbolic evaluation: exponent states, collapse, spec checking, equivalence."""
 
+import pickle
 import random
 from dataclasses import FrozenInstanceError, replace
 
@@ -770,6 +771,20 @@ def test_a_shared_report_cannot_be_written(fig2):
     with pytest.raises(TypeError):
         changed.outcomes["t"] = report.outcomes["t"]
     assert evaluate(fig2).outcomes["t"].name == "t"
+
+
+def test_frozen_records_keep_their_fields_in_slots(fig2):
+    from cnq import StateVector
+
+    report = evaluate(fig2)
+    gate, line, state = fig2.gates[0], fig2.lines[0], TargetState(Anf.one(), 2, MlPoly.zero())
+    vector = StateVector.basis(("a",), {"a": 1})
+    for record, name in ((gate, "p"), (line, "name"), (state, "k_root"), (vector, "lines")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+    for record in (gate, line, state, vector, report.trace[0], report.outcomes["t"], report):
+        assert not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(gate)) == gate and replace(gate, p=3).p == 3
 
 
 def test_list_fields_are_stored_as_tuples(memo_info):
