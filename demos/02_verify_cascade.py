@@ -32,9 +32,17 @@ for v in check_spec(circuit):
 
 print()
 print("== a wrong spec earns a witness ==")
-broken = Circuit.parse((FIXTURES / "broken.cnq").read_text())
-(v,) = check_spec(broken)
-print(f"spec {v.line}: {'PASS' if v.passed else 'FAIL'}")
-print(f"  expected {v.expected}")
-print(f"  actual   {v.actual_value}")
-print(f"  first differing assignment: {v.witness}")
+# The witness is read off the canonical form, with no input enumerated: in
+# counting order, the first input where the two sides differ is the
+# indicator of the least monomial of expected ^ actual.
+broken_text = (FIXTURES / "broken.cnq").read_text()
+for wrong in ("t ^ a&b", "t ^ a ^ c"):
+    broken = Circuit.parse(broken_text.replace("spec t = t ^ a&b", f"spec t = {wrong}"))
+    (v,) = check_spec(broken)
+    diff = v.expected ^ v.actual_value
+    (first,) = [m for m in diff.monomials if all(v.witness[x] == (x in m) for x in v.witness)]
+    print(f"spec {v.line}: {'PASS' if v.passed else 'FAIL'}")
+    print(f"  expected {v.expected}")
+    print(f"  actual   {v.actual_value}")
+    print(f"  expected ^ actual = {diff}; its least monomial is {'&'.join(sorted(first))}")
+    print(f"  first differing assignment: {v.witness}")

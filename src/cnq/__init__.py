@@ -29,7 +29,6 @@ from .errors import (
     ZeroPowerError,
 )
 from .expr import (
-    DEFAULT_ENUM_GUARD,
     Anf,
     Assignment,
     MlPoly,
@@ -89,7 +88,6 @@ __all__ = [
     "Circuit",
     "CnqError",
     "CrossCheckResult",
-    "DEFAULT_ENUM_GUARD",
     "DEFAULT_SIM_GUARD",
     "Episode",
     "EpisodeTerm",

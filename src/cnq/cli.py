@@ -13,15 +13,16 @@ Subcommands::
 
 Each subcommand is one row of ``_COMMANDS``: its help text, the circuit
 files it reads, its own options and a handler.  Every subcommand takes
-``--format``; each guard goes only to the commands it bounds:
-``--guard-enum`` to ``verify``, ``--guard-sim`` to ``simulate``, ``check``
-and ``fuzz``.  A handler gets the parsed arguments and the loaded
-circuits and returns its verdict (``True``, ``False`` or ``None`` when
-the command has none), its structured fields and its text.  ``main`` is
-the one emitter: it loads the files, maps errors to exit codes, and
-prints either the text or the fields laid over the common document.  If
-the reader closes the pipe early, the rest of the output is dropped
-without a traceback and the exit code is unchanged.
+``--format``; the one guard, ``--guard-sim``, goes only to the commands
+it bounds: ``simulate``, ``check`` and ``fuzz``.  ``verify`` needs none,
+since a failing spec's witness is read off its canonical form.  A
+handler gets the parsed arguments and the loaded circuits and returns
+its verdict (``True``, ``False`` or ``None`` when the command has none),
+its structured fields and its text.  ``main`` is the one emitter: it
+loads the files, maps errors to exit codes, and prints either the text
+or the fields laid over the common document.  If the reader closes the
+pipe early, the rest of the output is dropped without a traceback and
+the exit code is unchanged.
 
 Only ``simulate``, ``check`` and ``fuzz`` import the numpy oracle, inside
 their handlers; the other commands never load numpy.
@@ -50,7 +51,7 @@ from .errors import (
     SimulationLimitError,
     TargetInteractionError,
 )
-from .expr import DEFAULT_ENUM_GUARD, display_anf, iter_assignments
+from .expr import display_anf, iter_assignments
 from .optimize import merge_pass
 from .symbolic import check_spec, equivalent, evaluate
 from .fuzz import self_test
@@ -115,7 +116,7 @@ def _verify(args, c):
     if not c.specs:
         raise _UsageError("circuit has no spec lines to verify")
     report = evaluate(c)
-    verdicts = check_spec(c, guard=args.guard_enum)
+    verdicts = check_spec(c)
     ok = all(v.passed for v in verdicts)
     text = []
     for v in verdicts:
@@ -123,13 +124,11 @@ def _verify(args, c):
             text.append(f"spec {v.line}: PASS   ({display_anf(v.expected)})")
         elif v.code == "E_NO_COLLAPSE":
             text.append(f"spec {v.line}: FAIL   no Boolean form ({v.actual_state})")
-            if v.witness is not None:
-                text.append(f"    non-Boolean at {_fmt_point(v.witness)}")
+            text.append(f"    non-Boolean at {_fmt_point(v.witness)}")
         else:
             text.append(f"spec {v.line}: FAIL   expected {display_anf(v.expected)}, "
                         f"got {display_anf(v.actual_value)}")
-            if v.witness is not None:
-                text.append(f"    first difference at {_fmt_point(v.witness)}")
+            text.append(f"    first difference at {_fmt_point(v.witness)}")
     text.append(f"verdict: {_verdict(ok)}")
     fields = {
         "lines": report.to_dict()["lines"],
@@ -227,15 +226,13 @@ class _Command(NamedTuple):
     handler: Callable
 
 
-# The guards, each given only to the commands that honour it.
-_GUARD_ENUM = {"--guard-enum": {"type": int, "default": DEFAULT_ENUM_GUARD, "metavar": "N",
-                                "help": "bound the witness search to N variables"}}
+# The simulation guard, given only to the commands that honour it.
 _GUARD_SIM = {"--guard-sim": {"type": int, "default": DEFAULT_SIM_GUARD, "metavar": "N",
                               "help": "refuse dense simulation above N lines"}}
 
 _COMMANDS = {
     "eval": _Command("symbolic per-line outcomes", ("circuit",), {}, _eval),
-    "verify": _Command("check spec lines", ("circuit",), _GUARD_ENUM, _verify),
+    "verify": _Command("check spec lines", ("circuit",), {}, _verify),
     "simulate": _Command(
         "dense statevector runs", ("circuit",),
         {"--input": {"metavar": "BITS", "help": "one basis input, line order"}, **_GUARD_SIM},

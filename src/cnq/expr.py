@@ -34,10 +34,6 @@ from collections.abc import Iterable, Mapping
 
 from .errors import ParseError, UnboundVariableError
 
-# Default bound on the variables over which ``check_spec`` searches {0,1}^n
-# for a failing spec's witness; above it the verdict has no witness.
-DEFAULT_ENUM_GUARD = 20
-
 Assignment = Mapping[str, int]
 
 _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")

@@ -199,9 +199,8 @@ class _Sweep(NamedTuple):
 
     A classical line is still a basis state on every input: ``bits`` holds
     its bit per row.  The active lines share ``block``, the joint amplitudes
-    of shape (rows, 2^len(active)), first active line most significant.
-    ``block`` is a transposed view: the sweep holds the amplitudes with
-    the rows innermost, so ``block.T`` is the contiguous array.
+    of shape (2^len(active), rows), first active line most significant,
+    with the rows innermost.
     """
 
     bits: dict[str, np.ndarray]
@@ -279,7 +278,7 @@ def _sweep(circuit: Circuit, inputs: dict[str, np.ndarray], size: int) -> _Sweep
         if classical:
             o = _and(bits, classical, size) * o
         _update(block, axis.__getitem__, [c for c in g.controls if c in axis], g.target, o)
-    return _Sweep(bits, tuple(axis), block.reshape(-1, size).T)
+    return _Sweep(bits, tuple(axis), block.reshape(-1, size))
 
 
 # -- the prediction --------------------------------------------------------------
@@ -325,9 +324,8 @@ def _flagged(circuit: Circuit, inputs, size: int, preds, delta: float) -> np.nda
     prediction is off exactly where its bit differs from the predicted
     bit.  The predicted product of the active lines is subtracted from the
     swept block in place, its last factor one slice at a time, so besides
-    the block only a half-block temporary is ever held.  The product and
-    the subtraction work on ``block.T``, the block with its rows innermost
-    as the sweep made it, so each factor and each subtraction runs over
+    the block only a half-block temporary is ever held.  The block has its
+    rows innermost, so each factor and each subtraction runs over
     contiguous rows.
     """
     bits, active, block = _sweep(circuit, inputs, size)
@@ -340,15 +338,14 @@ def _flagged(circuit: Circuit, inputs, size: int, preds, delta: float) -> np.nda
         else:
             flagged |= bit != pred
     if active:                  # with none, the block is all ones, as predicted
-        amps = block.T          # (2^len(active), rows), contiguous
         joint = np.ones((1, size), dtype=np.complex128)
         for name in active[:-1]:
             pair = np.stack(_pair(preds[name]))
             joint = (joint[:, None, :] * pair[None, :, :]).reshape(-1, size)
-        halves = amps.reshape(-1, 2, size)
+        halves = block.reshape(-1, 2, size)
         for b, pred in enumerate(_pair(preds[active[-1]])):
             halves[:, b, :] -= joint * pred
-        flagged |= np.max(np.abs(amps), axis=0) > delta
+        flagged |= np.max(np.abs(block), axis=0) > delta
     return flagged
 
 

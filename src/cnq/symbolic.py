@@ -27,14 +27,14 @@ attempts a collapse and raises ``E_TARGET_INTERACTION`` if none exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .circuit import Circuit
 from .errors import LineMismatchError, TargetInteractionError
-from .expr import DEFAULT_ENUM_GUARD, Anf, MlPoly, display_anf, iter_assignments
+from .expr import Anf, MlPoly, display_anf
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,7 +346,7 @@ class SpecVerdict:
     actual_value: Anf | None
     actual_state: TargetState | None
     code: str | None = None            # E_NO_COLLAPSE when no Boolean form exists
-    witness: dict[str, int] | None = None
+    witness: dict[str, int] | None = None     # None only on a PASS
 
     def to_dict(self) -> dict:
         return {
@@ -359,13 +359,14 @@ class SpecVerdict:
         }
 
 
-def check_spec(circuit: Circuit, *, guard: int = DEFAULT_ENUM_GUARD) -> list[SpecVerdict]:
+def check_spec(circuit: Circuit) -> list[SpecVerdict]:
     """Compare every spec line against the evaluated output of its line.
 
-    Equality is canonical-form equality of Anfs.  On failure the verdict
-    carries the first assignment (counting order over the sorted variable
-    union) where the two functions differ, provided the variable count
-    stays within ``guard``.
+    Equality is canonical-form equality of Anfs.  A failing verdict always
+    carries a witness, the first assignment (counting order over the
+    sorted variables) where the two functions differ or, for a line with
+    no Boolean form, where its exponent leaves {0, K}; ``_first_witness``
+    reads it off the canonical form, so no input is enumerated.
     """
     if not circuit.specs:
         raise ValueError("circuit has no spec lines to check")
@@ -377,12 +378,8 @@ def check_spec(circuit: Circuit, *, guard: int = DEFAULT_ENUM_GUARD) -> list[Spe
         want = circuit.specs[name]
         oc = report.outcomes[name]
         if oc.value is None:
-            st = oc.state
-            witness = _first_witness(
-                st.exponent.variables(),
-                lambda pt: st.exponent.evaluate(pt) % (2 * st.k_root) not in (0, st.k_root),
-                guard,
-            )
+            e, k = oc.state.exponent, oc.state.k_root
+            witness = _first_witness(e.variables(), [m for m, c in e.terms.items() if c != k])
             verdicts.append(
                 SpecVerdict(name, False, want, None, oc.state, "E_NO_COLLAPSE", witness)
             )
@@ -390,25 +387,29 @@ def check_spec(circuit: Circuit, *, guard: int = DEFAULT_ENUM_GUARD) -> list[Spe
             verdicts.append(SpecVerdict(name, True, want, oc.value, oc.state))
         else:
             got = oc.value
-            witness = _first_witness(
-                want.variables() | got.variables(),
-                lambda pt: want.evaluate(pt) != got.evaluate(pt),
-                guard,
-            )
+            witness = _first_witness(want.variables() | got.variables(), (want ^ got).monomials)
             verdicts.append(
                 SpecVerdict(name, False, want, oc.value, oc.state, witness=witness)
             )
     return verdicts
 
 
-def _first_witness(
-    variables: Iterable[str], holds: Callable[[dict[str, int]], bool], guard: int
-) -> dict[str, int] | None:
-    """The first point, in counting order over the sorted variables, where ``holds``."""
+def _first_witness(variables: Iterable[str], off: Iterable[frozenset[str]]) -> dict[str, int]:
+    """The first point, in counting order over the sorted variables, whose value leaves A.
+
+    ``off`` holds the monomials of a canonical polynomial mod m whose
+    coefficients lie outside a subgroup A of Z_m, at least one of them: a
+    mismatch's want XOR got mod 2 with A = {0}, or an exponent mod 2K with
+    A = {0, K}.  Ordering monomials by their indicator points, that
+    first point is the indicator of the least monomial of ``off``.  Each
+    of its proper submonomials is a smaller point, so its coefficient
+    lies in A; A is closed under sums, so the value there leaves A.  A
+    smaller point contains only smaller monomials, so its value stays in
+    A.  This is the unimodular coefficient/value argument of ``collapse``.
+    """
     vs = sorted(variables)
-    if len(vs) > guard:
-        return None
-    return next((pt for pt in iter_assignments(vs) if holds(pt)), None)
+    first = min(off, key=lambda m: [v in m for v in vs])
+    return {v: int(v in first) for v in vs}
 
 
 @dataclass

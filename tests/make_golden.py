@@ -32,7 +32,6 @@ ERRORS = (
     ("fuzz", "--count", "0"),
     ("check", "fixtures/fig2.cnq", "--guard-sim", "2"),       # exit 4
     ("fuzz", "--count", "3", "--guard-sim", "1"),             # exit 4
-    ("verify", "fixtures/broken.cnq", "--guard-enum", "2"),   # FAIL with no witness
 )
 
 

@@ -112,6 +112,7 @@ def test_fuzz_honours_the_simulation_guard(capsys):
         ("equiv", FIG2, FIG2, "--guard-sim", "3"),
         ("check", FIG2, "--guard-enum", "3"),
         ("verify", FIG2, "--guard-sim", "3"),
+        ("verify", FIG2, "--guard-enum", "3"),
     ],
 )
 def test_a_guard_goes_only_to_the_commands_it_bounds(capsys, argv):

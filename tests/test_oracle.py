@@ -269,10 +269,10 @@ def test_a_flagged_input_that_passes_dense_confirmation_is_cleared(monkeypatch):
 
 def _sweep_dense(names, sweep):
     """The sweep's rows as dense statevectors over ``names`` (first = high bit)."""
-    size = len(sweep.block)
+    size = sweep.block.shape[-1]
     active = list(sweep.active)
-    block = sweep.block.reshape((size,) + (2,) * len(active))
-    block = block.transpose(0, *(1 + active.index(n) for n in names if n in active))
+    block = sweep.block.reshape((2,) * len(active) + (size,))
+    block = block.transpose(len(active), *(active.index(n) for n in names if n in active))
     out = np.zeros((size,) + (2,) * len(names), dtype=complex)
     for r in range(size):
         at = tuple(int(sweep.bits[n][r]) if n in sweep.bits else slice(None) for n in names)

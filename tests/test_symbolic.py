@@ -5,7 +5,7 @@ import random
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cnq import (
@@ -574,20 +574,74 @@ def test_check_spec_requires_specs():
         check_spec(load("lonely_v"))
 
 
-def test_check_spec_witness_omitted_above_guard():
-    (verdict,) = check_spec(load("broken"), guard=2)
-    assert not verdict.passed
-    assert verdict.witness is None
-
-
-def test_check_spec_witness_at_exactly_the_guard():
-    # a failing spec over exactly ``guard`` variables still gets its witness
+def test_check_spec_witness_binds_every_variable_of_the_spec():
+    # t is not in the difference (a), but the witness still gives it a bit
     c = Circuit.parse("line a\nline t target\ncnot a t\nspec t = t\n")
-    (verdict,) = check_spec(c, guard=2)
+    (verdict,) = check_spec(c)
     assert verdict.witness == {"a": 1, "t": 0}
     residual = Circuit.parse("line a\nline t target\nv a -> t\nspec t = t ^ a\n")
-    (verdict,) = check_spec(residual, guard=1)
+    (verdict,) = check_spec(residual)
     assert verdict.witness == {"a": 1}
+
+
+def test_a_41_variable_mismatch_gets_its_witness():
+    # the line holds t ^ x0, so the difference is x1&...&x39: its indicator
+    xs = [f"x{i}" for i in range(40)]
+    text = "".join(f"line {x}\n" for x in xs) + "line t target\ncnot x0 t\n"
+    c = Circuit.parse(text + "spec t = t ^ x0 ^ " + "&".join(xs[1:]) + "\n")
+    (verdict,) = check_spec(c)
+    assert not verdict.passed and verdict.code is None
+    assert verdict.witness == {"t": 0, "x0": 0, **{x: 1 for x in xs[1:]}}
+
+
+def test_a_24_input_residual_gets_its_witness():
+    # E = arith(x0 ^ ... ^ x23) mod 4: each single variable has coefficient
+    # 1, off {0, 2}; x9 sorts last, so its indicator is the first point
+    xs = [f"x{i}" for i in range(24)]
+    ladder = "".join(f"cnot {x} x23\n" for x in xs[:-1])
+    text = "".join(f"line {x}\n" for x in xs) + "line t target\n"
+    c = Circuit.parse(text + ladder + "v x23 -> t\n" + ladder + "spec t = t\n")
+    (verdict,) = check_spec(c)
+    assert verdict.code == "E_NO_COLLAPSE"
+    assert verdict.witness == {x: int(x == "x9") for x in xs}
+
+
+XS = [f"x{i}" for i in range(7)]
+
+
+@st.composite
+def failing_spec_circuits(draw):
+    """Gates Q_K^c on t under random monomials of x0..x6, and a random spec on t.
+
+    With every c = K mod 2K the line is Boolean and the spec mostly
+    mismatches it; otherwise the line has no Boolean form.
+    """
+    k = draw(st.sampled_from([1, 2, 4]))
+    monos = st.frozensets(st.sampled_from(XS), max_size=4)
+    terms = draw(st.dictionaries(monos, st.integers(1, 2 * k - 1), max_size=6))
+    gates = [Gate(k, c, tuple(sorted(m)), "t") for m, c in terms.items()]
+    spec = draw(st.frozensets(st.frozensets(st.sampled_from(XS + ["t"]), max_size=3), max_size=5))
+    lines = [Line(x) for x in XS] + [Line("t", True)]
+    return Circuit(lines, gates, {"t": Anf(spec)})
+
+
+def _brute_first_witness(verdict):
+    """The first point, in counting order over the sorted variables, where the spec fails."""
+    if verdict.code == "E_NO_COLLAPSE":
+        e, k = verdict.actual_state.exponent, verdict.actual_state.k_root
+        points = iter_assignments(sorted(e.variables()))
+        return next(pt for pt in points if e.evaluate(pt) % (2 * k) not in (0, k))
+    want, got = verdict.expected, verdict.actual_value
+    points = iter_assignments(sorted(want.variables() | got.variables()))
+    return next(pt for pt in points if want.evaluate(pt) != got.evaluate(pt))
+
+
+@given(failing_spec_circuits())
+@settings(max_examples=200, deadline=None)
+def test_check_spec_witness_is_the_first_failing_point(c):
+    (verdict,) = check_spec(c)
+    assume(not verdict.passed)
+    assert verdict.witness == _brute_first_witness(verdict)
 
 
 def test_no_collapse_witness_leaves_the_basis():
