@@ -53,7 +53,7 @@ for v in check_spec(circuit):
 
 print()
 print("== the same state, written two ways ==")
-s1 = TargetState(Anf.var("t"), 2, MlPoly.zero()).absorb(2, 1, Anf.var("a"))
+s1 = evaluate(Circuit.parse("line a\nline t target\nv a -> t\n")).outcomes["t"].state
 s2 = TargetState(Anf.zero(), 2, MlPoly({frozenset("a"): 1, frozenset("t"): 2}))
 print(f"V^a on base t:        normalized exponent {s1.normalized_exponent()}")
 print(f"Q^(a+2t) on base 0:   normalized exponent {s2.normalized_exponent()}")

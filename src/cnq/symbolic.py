@@ -9,8 +9,9 @@ the same NOT commute, E is  sum of a * arith(control)  over the distinct
 resolved controls, in any order: each taint episode sums its gates' powers
 per control (rebasing the sums to the finest root so far, since Q_{2K}
 squared is Q_K and moving from root K to K' multiplies exponents by K'/K)
-and expands E once, when the line is observed as a control or at the end.
-That per-control table, with each control's gates, is the report's
+and builds E in one expansion, folding each control with a nonzero total
+once, when the line is observed as a control or at the end.  That
+per-control table, with each control's gates, is the report's
 ``episodes``: the one record of which gates each episode absorbed.
 
 A target state *collapses* back to a Boolean function exactly when every
@@ -61,26 +62,6 @@ class TargetState:
             mono: r for mono, c in self.exponent.terms.items() if (r := c * factor % m)
         }
         return TargetState(self.base, k_new, MlPoly._wrap(terms))
-
-    def absorb(self, k: int, p: int, control: Anf) -> "TargetState":
-        """Add one gate's contribution p * arith(control) at root k.
-
-        The term p * (k2/k) * arith mod 2*k2 depends only on arith mod 2k,
-        so the control is folded mod the gate's own 2k: a V gate keeps only
-        terms of degree <= 2 even inside a finer-root episode.  The rebased
-        exponent is canonical, so only the control's terms are added and
-        reduced, in one copy; the receiver is left unchanged.
-        """
-        k2 = max(self.k_root, k)
-        scale, m = p * (k2 // k), 2 * k2
-        terms = dict(self.rebased(k2).exponent.terms)
-        for mono, c in control.to_arith(2 * k).terms.items():
-            c2 = (terms.get(mono, 0) + scale * c) % m
-            if c2:
-                terms[mono] = c2
-            else:
-                terms.pop(mono, None)
-        return TargetState(self.base, k2, MlPoly._wrap(terms))
 
     def collapse(self) -> Anf | None:
         """The Boolean value of this state, or None if it has none.
@@ -244,46 +225,49 @@ def evaluate(circuit: Circuit) -> EvalReport:
 
 
 class _Episode:
-    """An open taint episode of a line: its base, root K and per-control sums.
+    """An open taint episode of a line: its base, root K and per-control table.
 
-    ``powers`` maps each resolved control to its total power a mod 2K at
-    the finest root K so far, and ``gates`` to the indices of its gates; a
-    total of 0 stays in the table.  The exponent is expanded only by
-    ``state``.
+    ``table`` maps each resolved control, in order of first gate, to
+    ``[a, gates]``: its total power a mod 2K at the finest root K so far
+    and the indices of its gates.  A total of 0 stays in the table.  Only
+    ``state`` expands the exponent.
     """
 
-    __slots__ = ("target", "base", "k", "powers", "gates")
+    __slots__ = ("target", "base", "k", "table")
 
     def __init__(self, target: str, base: Anf, k: int) -> None:
         self.target, self.base, self.k = target, base, k
-        self.powers: dict[Anf, int] = {}
-        self.gates: dict[Anf, list[int]] = {}
+        self.table: dict[Anf, list] = {}
 
     def add(self, index: int, k: int, p: int, control: Anf) -> None:
         """Add gate ``index``, Q_k^p under ``control``, first rescaling onto a finer root."""
         if k > self.k:
             factor, self.k = k // self.k, k
-            self.powers = {c: a * factor for c, a in self.powers.items()}
-        self.powers[control] = (self.powers.get(control, 0) + p * (self.k // k)) % (2 * self.k)
-        self.gates.setdefault(control, []).append(index)
+            for row in self.table.values():
+                row[0] *= factor
+        row = self.table.setdefault(control, [0, []])
+        row[0] = (row[0] + p * (self.k // k)) % (2 * self.k)
+        row[1].append(index)
 
     def state(self) -> TargetState:
-        """The episode's state, absorbing each control with a nonzero total once.
+        """The episode's state: sum of a * arith(control) mod 2K, folding each control once.
 
         For a = 2^v * odd, a * arith(control) mod 2K depends only on arith
-        mod 2K / 2^v, so the control is folded at root K / 2^v: a total of
-        K folds mod 2, which is the control's own monomials.
+        mod 2K / 2^v, so that is the control's fold: a total of K folds
+        mod 2, which is the control's own monomials, and a zero total is
+        not folded at all.
         """
-        st = TargetState(self.base, self.k, MlPoly.zero())
-        for control, a in self.powers.items():
+        m, terms = 2 * self.k, {}
+        for control, (a, _) in self.table.items():
             if a:
-                v = (a & -a).bit_length() - 1
-                st = st.absorb(self.k >> v, a >> v, control)
-        return st
+                for mono, c in control.to_arith(m // (a & -a)).terms.items():
+                    terms[mono] = (terms.get(mono, 0) + a * c) % m
+        exponent = MlPoly._wrap({mono: c for mono, c in terms.items() if c})
+        return TargetState(self.base, self.k, exponent)
 
     def frozen(self) -> Episode:
         """The episode's table, as the report keeps it once the episode ends."""
-        terms = (EpisodeTerm(c, a, tuple(self.gates[c])) for c, a in self.powers.items())
+        terms = (EpisodeTerm(c, a, tuple(g)) for c, (a, g) in self.table.items())
         return Episode(self.target, self.k, tuple(terms))
 
 

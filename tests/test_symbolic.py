@@ -29,7 +29,7 @@ from cnq import (
     random_valid_circuit,
 )
 from cnq.circuit import MAX_ROOT
-from cnq.symbolic import _evaluate
+from cnq.symbolic import _Episode, _evaluate
 
 from conftest import load, poly
 
@@ -51,25 +51,24 @@ def target_states(draw):
 # -- exponent state algebra ---------------------------------------------------
 
 
+def _state(text):
+    """The final state of line t of a circuit on lines a, b and target t."""
+    c = Circuit.parse("line a\nline b\nline t target\n" + text)
+    return evaluate(c).outcomes["t"].state
+
+
 def test_absorb_accumulates_powers():
-    st0 = TargetState(Anf.var("t"), 2, MlPoly.zero())
-    st1 = st0.absorb(2, 1, Anf.var("a")).absorb(2, 1, Anf.var("b"))
-    assert st1.exponent == poly({"a": 1, "b": 1})
-    assert st1.k_root == 2
+    assert _state("v a -> t\nv b -> t\n") == TargetState(Anf.var("t"), 2, poly({"a": 1, "b": 1}))
 
 
 def test_absorb_rebases_to_finer_root():
-    st0 = TargetState(Anf.var("t"), 2, poly({"a": 1}))
-    st1 = st0.absorb(4, 1, Anf.var("b"))
-    # old exponent doubles: one quarter-turn is two eighth-turns
-    assert st1.k_root == 4
-    assert st1.exponent == poly({"a": 2, "b": 1})
+    # the v's power doubles: one quarter-turn is two eighth-turns
+    assert _state("v a -> t\nw b -> t\n") == TargetState(Anf.var("t"), 4, poly({"a": 2, "b": 1}))
 
 
 def test_absorb_reduces_mod_two_k():
-    st0 = TargetState(Anf.var("t"), 2, MlPoly.zero())
-    st1 = st0.absorb(2, 3, Anf.var("a")).absorb(2, 1, Anf.var("a"))
-    assert st1.exponent.is_zero                # 3 + 1 = 4 = 0 mod 4
+    # 3 + 1 = 4 = 0 mod 4
+    assert _state("q k=2 p=3 a -> t\nv a -> t\n") == TargetState(Anf.var("t"), 2, MlPoly.zero())
 
 
 def test_rebase_rejects_coarser_root():
@@ -118,22 +117,25 @@ def test_collapse_sound_and_complete(state):
             )
 
 
-@given(target_states(), roots, st.integers(min_value=1, max_value=15), anfs)
-def test_absorb_matches_the_unreduced_sum(state, k, p, ctrl):
-    # covers both directions: the gate's root coarser or finer than the state's
+def _absorb(state, k, p, ctrl):
+    """Gate-by-gate absorption of Q_k^p under ``ctrl``, as the unreduced sum at the finer root."""
     k2 = max(state.k_root, k)
     want = state.rebased(k2).exponent + (p * (k2 // k)) * ctrl.to_arith()
-    got = state.absorb(k, p, ctrl)
-    assert got.k_root == k2
-    assert got.base == state.base
-    assert got.exponent == want.reduce_mod(2 * k2)
+    return TargetState(state.base, k2, want.reduce_mod(2 * k2))
 
 
-@given(target_states(), roots, st.integers(min_value=1, max_value=15), anfs)
-def test_absorb_leaves_its_receiver_unchanged(state, k, p, ctrl):
-    before = dict(state.exponent.terms)
-    state.absorb(k, p, ctrl)
-    assert state.exponent.terms == before
+episode_gates = st.tuples(roots, st.integers(min_value=1, max_value=15), anfs)
+
+
+@given(anfs, st.lists(episode_gates, min_size=1, max_size=6))
+def test_absorb_matches_the_unreduced_sum(base, gs):
+    # an episode's roots rise and fall, so a gate's root is coarser or finer than the state's
+    ep = _Episode("t", base, gs[0][0])
+    want = TargetState(base, gs[0][0], MlPoly.zero())
+    for i, (k, p, ctrl) in enumerate(gs):
+        ep.add(i, k, p, ctrl)
+        want = _absorb(want, k, p, ctrl)
+    assert ep.state() == want
 
 
 @given(target_states())
@@ -328,7 +330,7 @@ def _gate_by_gate(circuit):
             continue
         if isinstance(tstate, Anf):
             tstate = TargetState(tstate, g.k, MlPoly.zero())
-        states[g.target] = tstate.absorb(g.k, g.p, ctrl)
+        states[g.target] = _absorb(tstate, g.k, g.p, ctrl)
     outcomes = {}
     for ln in circuit.lines:
         value = states[ln.name]
@@ -370,20 +372,20 @@ def test_per_control_sums_match_gate_by_gate_absorption(c):
     assert got.trace == want.trace
 
 
-def _absorbs(monkeypatch):
-    """Record the (k, p, control) of every ``TargetState.absorb`` call."""
-    calls, absorb = [], TargetState.absorb
+def _folds(monkeypatch):
+    """Record the (modulus, control) of every ``Anf.to_arith`` call."""
+    calls, to_arith = [], Anf.to_arith
 
-    def record(self, k, p, control):
-        calls.append((k, p, control))
-        return absorb(self, k, p, control)
+    def record(self, modulus=None):
+        calls.append((modulus, self))
+        return to_arith(self, modulus)
 
-    monkeypatch.setattr(TargetState, "absorb", record)
+    monkeypatch.setattr(Anf, "to_arith", record)
     return calls
 
 
 def test_a_complementary_pair_absorbs_nothing(monkeypatch):
-    calls = _absorbs(monkeypatch)
+    calls = _folds(monkeypatch)
     c = Circuit.parse("line a\nline t target\nw a -> t\nw* a -> t\n")
     report = _evaluate(c)
     assert calls == []
@@ -393,11 +395,11 @@ def test_a_complementary_pair_absorbs_nothing(monkeypatch):
 
 def test_a_finer_root_rescales_earlier_sums(monkeypatch):
     # v a is 2 at root 4, so the second v a brings a's sum to K = 4: a folds mod 2
-    calls = _absorbs(monkeypatch)
+    calls = _folds(monkeypatch)
     c = Circuit.parse("line a\nline b\nline t target\nv a -> t\nw b -> t\nv a -> t\n")
     st0 = _evaluate(c).outcomes["t"].state
     assert (st0.k_root, st0.exponent) == (4, poly({"a": 4, "b": 1}))
-    assert calls == [(1, 1, Anf.var("a")), (4, 1, Anf.var("b"))]
+    assert calls == [(2, Anf.var("a")), (8, Anf.var("b"))]
     assert st0 == _gate_by_gate(c).outcomes["t"].state
 
 
@@ -461,12 +463,12 @@ def test_fig6_episodes(fig6):
 
 
 def test_a_cancelled_control_stays_in_its_episode(monkeypatch):
-    calls = _absorbs(monkeypatch)
+    calls = _folds(monkeypatch)
     c = Circuit.parse("line a\nline b\nline t target\nv a -> t\nv b -> t\nv* a -> t\n")
     (ep,) = _evaluate(c).episodes
     a, b = Anf.var("a"), Anf.var("b")
     assert ep == Episode("t", 2, (EpisodeTerm(a, 0, (0, 2)), EpisodeTerm(b, 1, (1,))))
-    assert calls == [(2, 1, b)]
+    assert calls == [(4, b)]
 
 
 @st.composite
