@@ -11,7 +11,7 @@ coarser exponent onto the finer root.
 
 from pathlib import Path
 
-from cnq import Anf, Circuit, MlPoly, TargetState, check_spec, evaluate
+from cnq import Anf, Circuit, EpisodeTerm, MlPoly, TargetState, check_spec, evaluate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -40,8 +40,7 @@ assert fine.exponent == MlPoly({frozenset("ab"): 4})
 
 print()
 print("== collapse on demand ==")
-rec = report.trace[8]
-print(f"gate 8 reads line c as a control; it resolved to: {rec.resolved_control}")
+print(f"gate 8 reads line c as a control; it resolved to: {report.trace[8]}")
 print("that read ends c's episode, so it is listed before d's, which ends with the circuit")
 assert [ep.target for ep in report.episodes] == ["c", "d"]
 print("a non-collapsible control would have raised E_TARGET_INTERACTION instead")
@@ -54,7 +53,9 @@ for v in check_spec(circuit):
 print()
 print("== the same state, written two ways ==")
 s1 = evaluate(Circuit.parse("line a\nline t target\nv a -> t\n")).outcomes["t"].state
-s2 = TargetState(Anf.zero(), 2, MlPoly({frozenset("a"): 1, frozenset("t"): 2}))
+# one term per control: power 1 on a, power 2 on t, no gates
+s2 = TargetState("t", Anf.zero(), 2, (EpisodeTerm(Anf.var("a"), 1, ()),
+                                      EpisodeTerm(Anf.var("t"), 2, ())))
 print(f"V^a on base t:        normalized exponent {s1.normalized_exponent()}")
 print(f"Q^(a+2t) on base 0:   normalized exponent {s2.normalized_exponent()}")
 assert s1.normalized_exponent() == s2.normalized_exponent()

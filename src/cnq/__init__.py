@@ -38,11 +38,9 @@ from .expr import (
 from .fuzz import random_circuit, random_valid_circuit, self_test
 from .optimize import Change, MergeResult, merge_pass
 from .symbolic import (
-    Episode,
     EpisodeTerm,
     EquivVerdict,
     EvalReport,
-    GateRecord,
     LineOutcome,
     SpecVerdict,
     TargetState,
@@ -89,12 +87,10 @@ __all__ = [
     "CnqError",
     "CrossCheckResult",
     "DEFAULT_SIM_GUARD",
-    "Episode",
     "EpisodeTerm",
     "EquivVerdict",
     "EvalReport",
     "Gate",
-    "GateRecord",
     "Line",
     "LineMismatchError",
     "LineOutcome",

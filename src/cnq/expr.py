@@ -55,6 +55,12 @@ def _check_modulus(m: int) -> None:
         raise ValueError(f"modulus must be positive, got {m}")
 
 
+def _monomial(names: Iterable[str]) -> frozenset[str]:
+    if isinstance(names, str):      # frozenset would split it into characters
+        raise ParseError(f"a monomial must be a collection of variable names, got {names!r}")
+    return frozenset(names)
+
+
 def point_bit(point: Assignment, v: str) -> int:
     """The value ``point`` gives ``v``; it must be there and be 0 or 1."""
     try:
@@ -89,7 +95,7 @@ class Anf:
     def __init__(self, monomials: Iterable[Iterable[str]] = ()):
         acc: set[frozenset[str]] = set()
         for m in monomials:
-            mono = frozenset(m)
+            mono = _monomial(m)
             if mono in acc:        # XOR semantics: repeated monomials cancel
                 acc.discard(mono)
             else:
@@ -261,7 +267,7 @@ class MlPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[frozenset[str], int] = {}
         for m, c in items:
-            mono = frozenset(m)
+            mono = _monomial(m)
             c2 = acc.get(mono, 0) + c
             if c2:
                 acc[mono] = c2

@@ -39,7 +39,7 @@ from .errors import (
     UnboundVariableError,
     UnknownLineError,
 )
-from .expr import Assignment, MlPoly, point_bit
+from .expr import Assignment, point_bit
 from .symbolic import EvalReport, TargetState
 
 CROSS_CHECK_ATOL = 1e-9
@@ -386,7 +386,7 @@ def cross_check(
     n = len(names)
     _check_guard(n, guard)
     states = [
-        oc.state if oc.value is None else TargetState(oc.value, 1, MlPoly.zero())
+        oc.state if oc.value is None else TargetState(oc.name, oc.value, 1)
         for oc in (report.outcomes[name] for name in names)
     ]
     delta = CROSS_CHECK_ATOL / (2 * (n + 1))

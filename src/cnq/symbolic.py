@@ -2,17 +2,17 @@
 
 Every line starts holding its own input variable.  NOT-family gates on a
 Boolean line just XOR the resolved control product into its Anf.  Any other
-gate turns the line into a :class:`TargetState`: the line's value is
-Q^E(x) applied to a Boolean base, where Q is the K-th root of NOT and E is
-a multilinear integer polynomial kept canonical mod 2K.  Because roots of
-the same NOT commute, E is  sum of a * arith(control)  over the distinct
-resolved controls, in any order: each taint episode sums its gates' powers
-per control (rebasing the sums to the finest root so far, since Q_{2K}
-squared is Q_K and moving from root K to K' multiplies exponents by K'/K)
-and builds E in one expansion, folding each control with a nonzero total
-once, when the line is observed as a control or at the end.  That
-per-control table, with each control's gates, is the report's
-``episodes``: the one record of which gates each episode absorbed.
+gate starts a taint episode: the line's value is Q^E(x) applied to a
+Boolean base, where Q is the K-th root of NOT and E is a multilinear
+integer polynomial kept canonical mod 2K.  Because roots of the same NOT
+commute, E is  sum of a * arith(control)  over the distinct resolved
+controls, in any order: an episode sums its gates' powers per control
+(rebasing the sums to the finest root so far, since Q_{2K} squared is Q_K
+and moving from root K to K' multiplies exponents by K'/K).  When the line
+is observed as a control, or at the end, the episode ends as one
+:class:`TargetState`: that table, with each control's gates, and E folded
+from it.  The report's ``episodes`` lists these states; a line's outcome
+holds its last one.
 
 A target state *collapses* back to a Boolean function exactly when every
 canonical coefficient of E lies in {0, K}: then E = K * arith(f) pointwise
@@ -27,7 +27,7 @@ attempts a collapse and raises ``E_TARGET_INTERACTION`` if none exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from types import MappingProxyType
@@ -38,30 +38,62 @@ from .errors import LineMismatchError, TargetInteractionError
 from .expr import Anf, MlPoly, display_anf
 
 
+# A named tuple: as immutable as a frozen dataclass, but about a tenth of its
+# cost to define on each `import cnq`.
+class EpisodeTerm(NamedTuple):
+    """One resolved control of a taint episode and its gates' indices, in order.
+
+    ``power`` is the sum of p * (K/k) over ``gates`` mod 2K, K the
+    episode's root; it is 0 when the gates cancel.
+    """
+
+    control: Anf
+    power: int
+    gates: tuple[int, ...]
+
+
 @dataclass(frozen=True, slots=True)
 class TargetState:
-    """Q^exponent applied to a Boolean base value (Q the k_root-th root of NOT)."""
+    """A taint episode of line ``target``: Q^exponent applied to a Boolean base.
 
+    Q is the ``k_root``-th root of NOT.  ``terms`` holds one ``EpisodeTerm``
+    per resolved control, in order of first gate, and the exponent is
+    derived from them; equality compares the four given fields.
+    """
+
+    target: str
     base: Anf
     k_root: int
-    exponent: MlPoly
+    terms: tuple[EpisodeTerm, ...] = ()
+    exponent: MlPoly = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        """The exponent: sum of power * arith(control) mod 2K, folding each control once.
+
+        For a = 2^v * odd, a * arith(control) mod 2K depends only on arith
+        mod 2K / 2^v, the control's fold: a power of K folds mod 2, which is
+        the control's own monomials, and a zero power is not folded at all.
+        """
+        m, acc = 2 * self.k_root, {}
+        for control, a, _ in self.terms:
+            if a := a % m:
+                for mono, c in control.to_arith(m // (a & -a)).terms.items():
+                    acc[mono] = (acc.get(mono, 0) + a * c) % m
+        exponent = MlPoly._wrap({mono: c for mono, c in acc.items() if c})
+        object.__setattr__(self, "exponent", exponent)
 
     def rebased(self, k_new: int) -> "TargetState":
-        """Express the same state over a finer root: exponents scale by k_new/k_root.
+        """Express the same state over a finer root: powers scale by k_new/k_root.
 
-        ``k_new`` must be ``k_root`` times a power of two.  The exponent is
-        kept canonical, so the state's own root returns it as is.
+        ``k_new`` must be ``k_root`` times a power of two; each term keeps its gates.
         """
         factor, rest = divmod(k_new, self.k_root)
         if factor < 1 or rest or factor & (factor - 1):
             raise ValueError(f"cannot rebase root {self.k_root} onto {k_new}")
         if factor == 1:
             return self
-        m = 2 * k_new
-        terms = {
-            mono: r for mono, c in self.exponent.terms.items() if (r := c * factor % m)
-        }
-        return TargetState(self.base, k_new, MlPoly._wrap(terms))
+        terms = tuple(t._replace(power=t.power * factor) for t in self.terms)
+        return TargetState(self.target, self.base, k_new, terms)
 
     def collapse(self) -> Anf | None:
         """The Boolean value of this state, or None if it has none.
@@ -72,7 +104,7 @@ class TargetState:
         k = self.k_root
         if any(c != k for c in self.exponent.terms.values()):
             return None
-        return self.base ^ Anf(self.exponent.terms.keys())
+        return self.base ^ Anf._from_monomials(frozenset(self.exponent.terms))
 
     def normalized_exponent(self, k_common: int | None = None) -> MlPoly:
         """Exponent with the base folded in: the state is Q^result applied to 0.
@@ -95,9 +127,9 @@ class LineOutcome:
     """Final value of one line: a Boolean form and/or the exponent state.
 
     ``value`` is None when the line still holds a fractional power of NOT.
-    For tainted lines ``state`` records the target state at the line's most
-    recent collapse attempt, successful or not; it is None for lines that
-    never left the Boolean domain.
+    ``state`` is the line's last taint episode, the same object as its
+    entry in ``EvalReport.episodes``; it is None for lines that never left
+    the Boolean domain.
     """
 
     name: str
@@ -114,53 +146,19 @@ class LineOutcome:
 
 
 @dataclass(frozen=True, slots=True)
-class GateRecord:
-    """Trace entry: the control one gate resolved to; ``EvalReport.episodes`` holds its episode."""
-
-    index: int
-    target: str
-    resolved_control: Anf
-
-
-# The two episode records are named tuples: as immutable as a frozen
-# dataclass, but about a tenth of its cost to define on each `import cnq`.
-class EpisodeTerm(NamedTuple):
-    """One resolved control of a taint episode and its gates' indices, in order.
-
-    ``power`` is the sum of p * (K/k) over ``gates`` mod 2K, K the
-    episode's root; it is 0 when the gates cancel.
-    """
-
-    control: Anf
-    power: int
-    gates: tuple[int, ...]
-
-
-class Episode(NamedTuple):
-    """A line's stretch off the Boolean domain, up to a read as a control or the end.
-
-    Its exponent is the sum of power * arith(control) over ``terms`` (in
-    order of first gate) mod 2 * ``k_root``, the finest root of its gates.
-    """
-
-    target: str
-    k_root: int
-    terms: tuple[EpisodeTerm, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class EvalReport:
-    """One evaluation of a circuit: line outcomes, a trace record per gate, the episodes.
+    """One evaluation of a circuit: line outcomes, the trace, the episodes.
 
-    ``episodes`` lists every taint episode in the order they ended.  A
-    report is immutable, so ``evaluate`` may hand the same one to every
+    ``trace[i]`` is the Anf gate i's controls resolved to.  ``episodes``
+    holds every taint episode's ``TargetState``, in the order they ended.
+    A report is immutable, so ``evaluate`` may hand the same one to every
     caller: ``outcomes`` is a read-only copy of the mapping it is given,
     ``trace`` and ``episodes`` are tuples.
     """
 
     outcomes: Mapping[str, LineOutcome]
-    trace: tuple[GateRecord, ...] = ()
-    episodes: tuple[Episode, ...] = ()
+    trace: tuple[Anf, ...] = ()
+    episodes: tuple[TargetState, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", MappingProxyType(dict(self.outcomes)))
@@ -229,8 +227,8 @@ class _Episode:
 
     ``table`` maps each resolved control, in order of first gate, to
     ``[a, gates]``: its total power a mod 2K at the finest root K so far
-    and the indices of its gates.  A total of 0 stays in the table.  Only
-    ``state`` expands the exponent.
+    and the indices of its gates.  A total of 0 stays in the table.
+    ``end`` turns it into the report's ``TargetState``.
     """
 
     __slots__ = ("target", "base", "k", "table")
@@ -249,26 +247,10 @@ class _Episode:
         row[0] = (row[0] + p * (self.k // k)) % (2 * self.k)
         row[1].append(index)
 
-    def state(self) -> TargetState:
-        """The episode's state: sum of a * arith(control) mod 2K, folding each control once.
-
-        For a = 2^v * odd, a * arith(control) mod 2K depends only on arith
-        mod 2K / 2^v, so that is the control's fold: a total of K folds
-        mod 2, which is the control's own monomials, and a zero total is
-        not folded at all.
-        """
-        m, terms = 2 * self.k, {}
-        for control, (a, _) in self.table.items():
-            if a:
-                for mono, c in control.to_arith(m // (a & -a)).terms.items():
-                    terms[mono] = (terms.get(mono, 0) + a * c) % m
-        exponent = MlPoly._wrap({mono: c for mono, c in terms.items() if c})
-        return TargetState(self.base, self.k, exponent)
-
-    def frozen(self) -> Episode:
-        """The episode's table, as the report keeps it once the episode ends."""
+    def end(self) -> TargetState:
+        """The episode's state, which expands its exponent."""
         terms = (EpisodeTerm(c, a, tuple(g)) for c, (a, g) in self.table.items())
-        return Episode(self.target, self.k, tuple(terms))
+        return TargetState(self.target, self.base, self.k, tuple(terms))
 
 
 def _evaluate(circuit: Circuit) -> EvalReport:
@@ -277,25 +259,21 @@ def _evaluate(circuit: Circuit) -> EvalReport:
         ln.name: Anf._from_monomials(frozenset((frozenset((ln.name,)),)))
         for ln in circuit.lines
     }
-    last_state: dict[str, TargetState] = {}
-    trace: list[GateRecord] = []
-    episodes: list[Episode] = []
+    trace: list[Anf] = []
+    episodes: list[TargetState] = []
 
     for i, g in enumerate(circuit.gates):
         ctrl = None if g.controls else Anf.one()
         for cname in g.controls:
             s = states[cname]
             if isinstance(s, _Episode):
-                ep, s = s, s.state()
-                v = s.collapse()
-                if v is None:
+                episodes.append(s := s.end())
+                if (v := s.collapse()) is None:
                     raise TargetInteractionError(
                         f"line {cname!r} drives a control while holding a "
                         f"fractional power of NOT ({s})",
                         gate_index=i,
                     )
-                episodes.append(ep.frozen())
-                last_state[cname] = s
                 states[cname] = s = v
             ctrl = s if ctrl is None else ctrl & s
 
@@ -306,16 +284,16 @@ def _evaluate(circuit: Circuit) -> EvalReport:
             if isinstance(tstate, Anf):
                 states[g.target] = tstate = _Episode(g.target, tstate, g.k)
             tstate.add(i, g.k, g.p, ctrl)
-        trace.append(GateRecord(i, g.target, ctrl))
+        trace.append(ctrl)
 
+    # states keeps the line order, so the episodes still open end in it
+    episodes += (s.end() for s in states.values() if isinstance(s, _Episode))
+    last = {st.target: st for st in episodes}
     outcomes: dict[str, LineOutcome] = {}
     for ln in circuit.lines:
-        value = states[ln.name]
-        if isinstance(value, _Episode):
-            episodes.append(value.frozen())
-            last_state[ln.name] = st = value.state()
-            value = st.collapse()
-        outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, value, last_state.get(ln.name))
+        value, st = states[ln.name], last.get(ln.name)
+        value = st.collapse() if isinstance(value, _Episode) else value
+        outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, value, st)
     return EvalReport(outcomes, trace, episodes)
 
 

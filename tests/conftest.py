@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from cnq import Circuit, MlPoly
+from cnq import Anf, Circuit, EpisodeTerm, MlPoly, TargetState
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -18,6 +18,16 @@ def load(name: str) -> Circuit:
 def poly(terms: dict[str, int]) -> MlPoly:
     """``poly({"a*b": 2, "1": 3})`` is 2ab + 3: each key is '*'-joined variables."""
     return MlPoly({frozenset(k.split("*")) - {"1"}: c for k, c in terms.items()})
+
+
+def state(e: MlPoly, k: int, base: Anf = Anf.zero(), target: str = "t") -> TargetState:
+    """A state of ``target`` at root ``k`` whose exponent is ``e`` mod 2k.
+
+    Each monomial of ``e`` is one term, with no gates: a single monomial
+    folds to itself, so the term adds its coefficient times that monomial.
+    """
+    terms = (EpisodeTerm(Anf([mono]), c, ()) for mono, c in e.terms.items())
+    return TargetState(target, base, k, tuple(terms))
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ import numpy as np
 from cnq import (
     Anf,
     MlPoly,
-    TargetState,
     check_spec,
     cross_check,
     equivalent,
@@ -25,7 +24,7 @@ from cnq import (
 )
 from cnq.cli import main
 
-from conftest import fixture_path, load, poly
+from conftest import fixture_path, load, poly, state
 
 ALL_FIXTURES = [
     "fig1", "fig2", "fig3", "fig4", "fig4_pre", "fig5", "fig6", "lonely_v", "broken",
@@ -145,17 +144,17 @@ def test_criterion_08_collapse_matches_enumeration():
         for _ in range(rng.randint(0, 6)):
             mono = frozenset(rng.sample(pool, rng.randint(0, n)) if n else [])
             terms[mono] = rng.randrange(0, 2 * k)
-        state = TargetState(Anf.zero(), k, MlPoly(terms).reduce_mod(2 * k))
-        value = state.collapse()
+        st0 = state(MlPoly(terms), k)
+        value = st0.collapse()
         points = list(iter_assignments(pool))
         in_range = all(
-            state.exponent.evaluate(pt) % (2 * k) in (0, k) for pt in points
+            st0.exponent.evaluate(pt) % (2 * k) in (0, k) for pt in points
         )
         if (value is not None) != in_range:
             discrepancies += 1
         elif value is not None:
             for pt in points:
-                e = state.exponent.evaluate(pt) % (2 * k)
+                e = st0.exponent.evaluate(pt) % (2 * k)
                 if value.evaluate(pt) != e // k:
                     discrepancies += 1
                     break

@@ -41,6 +41,16 @@ def test_anf_repeated_monomials_cancel():
     assert Anf([("a", "b"), ("b", "a")]).is_zero
 
 
+def test_a_str_monomial_is_refused():
+    # a str would be split into its characters: x0 would read as 0&x
+    for bad in (["x0"], [("a",), "ab"]):
+        with pytest.raises(ParseError, match="monomial must be a collection") as err:
+            Anf(bad)
+        assert err.value.code == "E_SYNTAX"
+    assert Anf([("x0",)]) == Anf.var("x0")
+    assert str(Anf([("x0",)])) == "x0"
+
+
 def test_anf_canonical_str():
     x = Anf.parse("b&c ^ a&b")
     assert str(x) == "a&b ^ b&c"
@@ -166,6 +176,14 @@ def test_poly_constants_and_str():
     assert str(poly({"a*b": 2, "b*c": 2})) == "2*a*b + 2*b*c"
     assert str(poly({"a*b*c": -4, "a": 2})) == "2*a - 4*a*b*c"
     assert str(poly({"a": 1, "b": -1})) == "a - b"
+
+
+def test_a_str_monomial_is_refused_in_a_poly():
+    for bad in ({"ab": 2}, [("a", 1), ("bc", 1)]):
+        with pytest.raises(ParseError, match="monomial must be a collection") as err:
+            MlPoly(bad)
+        assert err.value.code == "E_SYNTAX"
+    assert MlPoly({("a", "b"): 2}) == poly({"a*b": 2})
 
 
 def test_poly_multilinear_product():

@@ -78,7 +78,7 @@ def test_star_import_and_dir():
     names: dict = {}
     exec("from cnq import *", names)
     assert set(cnq.__all__) <= names.keys()
-    assert names["Episode"] is cnq.symbolic.Episode
+    assert names["TargetState"] is cnq.symbolic.TargetState
     assert names["EpisodeTerm"] is cnq.symbolic.EpisodeTerm
     assert "cross_check" in dir(cnq)
     with pytest.raises(AttributeError, match="no attribute 'nope'"):

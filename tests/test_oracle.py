@@ -34,7 +34,7 @@ from cnq import (
 )
 from cnq.circuit import MAX_ROOT
 
-from conftest import load, poly
+from conftest import load, poly, state
 
 NOT = np.array([[0, 1], [1, 0]], dtype=complex)
 EYE = np.eye(2, dtype=complex)
@@ -239,7 +239,7 @@ def test_cross_check_separates_adjacent_exponents_at_the_root_limit():
     report = evaluate(c)
     assert cross_check(c, report).passed
     oc = report.outcomes["t"]
-    off_by_one = replace(oc.state, exponent=poly({"a": 2}))
+    off_by_one = state(poly({"a": 2}), oc.state.k_root, oc.state.base)
     off = replace(report, outcomes={**report.outcomes, "t": replace(oc, state=off_by_one)})
     result = cross_check(c, off)
     assert not result.passed
@@ -376,7 +376,7 @@ def _per_input_cross_check(circuit, report, atol=1e-9):
     """``cross_check`` as one dense simulation per input, in counting order."""
     names = circuit.line_names
     states = [
-        oc.state if oc.value is None else TargetState(oc.value, 1, MlPoly.zero())
+        oc.state if oc.value is None else TargetState(oc.name, oc.value, 1)
         for oc in (report.outcomes[name] for name in names)
     ]
     for count, pt in enumerate(iter_assignments(names), 1):
@@ -396,8 +396,12 @@ def _with_outcome(report, line, **changes):
     return replace(report, outcomes={**report.outcomes, line: replace(oc, **changes)})
 
 
-def _mutate(report, line, **changes):
-    return _with_outcome(report, line, state=replace(report.outcomes[line].state, **changes))
+def _mutate(report, line, exponent=None, base=None):
+    """``report`` with ``line``'s state given another exponent or base, at the same root."""
+    st0 = report.outcomes[line].state
+    exponent = st0.exponent if exponent is None else exponent
+    base = st0.base if base is None else base
+    return _with_outcome(report, line, state=state(exponent, st0.k_root, base, line))
 
 
 def _plus_one(poly, monomial=frozenset()):
@@ -457,8 +461,8 @@ def _active_boolean(report):
 
 def _classical_residual(report):
     # b is pure, so the sweep keeps it a bit column, but the report says V|b>
-    state = TargetState(report.outcomes["b"].value, 2, poly({"1": 1}))
-    return _with_outcome(report, "b", value=None, state=state)
+    residual = state(poly({"1": 1}), 2, report.outcomes["b"].value, "b")
+    return _with_outcome(report, "b", value=None, state=residual)
 
 
 @pytest.mark.parametrize(
@@ -510,7 +514,7 @@ def test_predictions_never_write_into_the_input_columns(monkeypatch):
     c = Circuit.parse(_COLLAPSED)
     report = evaluate(c)
     inputs = read_only_input_bits(c.line_names, range(8))
-    assert oracle._predict(TargetState(Anf.var("b"), 1, MlPoly.zero()), inputs, 8) is inputs["b"]
+    assert oracle._predict(TargetState("b", Anf.var("b"), 1), inputs, 8) is inputs["b"]
     assert cross_check(c, report).passed
     mutated = _collapsed_xor_var(report)
     result = cross_check(c, mutated)

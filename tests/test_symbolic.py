@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from cnq import (
     Anf,
     Circuit,
-    Episode,
     EpisodeTerm,
     EvalReport,
     Gate,
-    GateRecord,
     Line,
     LineMismatchError,
     LineOutcome,
@@ -31,7 +29,7 @@ from cnq import (
 from cnq.circuit import MAX_ROOT
 from cnq.symbolic import _Episode, _evaluate
 
-from conftest import load, poly
+from conftest import load, poly, state
 
 VARS = ["a", "b", "c"]
 monomials = st.frozensets(st.sampled_from(VARS), max_size=3)
@@ -41,11 +39,17 @@ roots = st.sampled_from([1, 2, 4, 8])
 
 @st.composite
 def target_states(draw):
+    """A state with up to 6 terms under random controls, powers in [0, 4K)."""
     k = draw(roots)
     base = draw(anfs)
-    coeffs = st.integers(min_value=0, max_value=2 * k - 1)
-    e = MlPoly(draw(st.dictionaries(monomials, coeffs, max_size=6)))
-    return TargetState(base, k, e.reduce_mod(2 * k))
+    powers = st.integers(min_value=0, max_value=4 * k - 1)
+    terms = draw(st.lists(st.tuples(anfs, powers), max_size=6))
+    return TargetState("t", base, k, tuple(EpisodeTerm(c, a, ()) for c, a in terms))
+
+
+def _fields(st0):
+    """What a state says about its line: base, root and exponent, not how it got there."""
+    return st0.base, st0.k_root, st0.exponent
 
 
 # -- exponent state algebra ---------------------------------------------------
@@ -58,21 +62,47 @@ def _state(text):
 
 
 def test_absorb_accumulates_powers():
-    assert _state("v a -> t\nv b -> t\n") == TargetState(Anf.var("t"), 2, poly({"a": 1, "b": 1}))
+    assert _fields(_state("v a -> t\nv b -> t\n")) == (Anf.var("t"), 2, poly({"a": 1, "b": 1}))
 
 
 def test_absorb_rebases_to_finer_root():
     # the v's power doubles: one quarter-turn is two eighth-turns
-    assert _state("v a -> t\nw b -> t\n") == TargetState(Anf.var("t"), 4, poly({"a": 2, "b": 1}))
+    assert _fields(_state("v a -> t\nw b -> t\n")) == (Anf.var("t"), 4, poly({"a": 2, "b": 1}))
 
 
 def test_absorb_reduces_mod_two_k():
     # 3 + 1 = 4 = 0 mod 4
-    assert _state("q k=2 p=3 a -> t\nv a -> t\n") == TargetState(Anf.var("t"), 2, MlPoly.zero())
+    assert _fields(_state("q k=2 p=3 a -> t\nv a -> t\n")) == (Anf.var("t"), 2, MlPoly.zero())
+
+
+@given(target_states())
+def test_the_exponent_is_the_reduced_sum_of_the_terms(st0):
+    m = 2 * st0.k_root
+    unreduced = sum((a * c.to_arith() for c, a, _ in st0.terms), MlPoly.zero())
+    assert st0.exponent == unreduced.reduce_mod(m)
+
+
+def test_a_power_of_four_k_is_reduced_before_folding():
+    # 8 = 0 mod 4 folds nothing, and 9 = 1 mod 4 folds a ^ b mod 4
+    ab = Anf.parse("a ^ b")
+    assert TargetState("t", Anf.zero(), 2, (EpisodeTerm(ab, 8, ()),)).exponent == MlPoly.zero()
+    nine = TargetState("t", Anf.zero(), 2, (EpisodeTerm(ab, 9, ()),))
+    assert nine.exponent == poly({"a": 1, "b": 1, "a*b": 2})
+
+
+def test_equality_compares_the_given_fields():
+    a = Anf.var("a")
+    once = TargetState("t", Anf.zero(), 2, (EpisodeTerm(a, 2, (0,)),))
+    assert once == TargetState("t", Anf.zero(), 2, (EpisodeTerm(a, 2, (0,)),))
+    assert hash(once) == hash(TargetState("t", Anf.zero(), 2, (EpisodeTerm(a, 2, (0,)),)))
+    # the same exponent from other gates, or on another line, is another episode
+    twice = TargetState("t", Anf.zero(), 2, (EpisodeTerm(a, 2, (0, 1)),))
+    assert twice.exponent == once.exponent and twice != once
+    assert replace(once, target="u") != once
 
 
 def test_rebase_rejects_coarser_root():
-    st0 = TargetState(Anf.var("t"), 4, poly({"a": 1}))
+    st0 = state(poly({"a": 1}), 4, Anf.var("t"))
     with pytest.raises(ValueError):
         st0.rebased(2)
     with pytest.raises(ValueError):
@@ -81,18 +111,30 @@ def test_rebase_rejects_coarser_root():
 
 @pytest.mark.parametrize("k_root,k_new", [(2, 0), (2, -2), (2, -4), (2, 3), (2, 6), (1, 3)])
 def test_rebase_rejects_a_root_that_is_not_a_finer_root(k_root, k_new):
-    st0 = TargetState(Anf.var("t"), k_root, poly({"a": 1}))
+    st0 = state(poly({"a": 1}), k_root, Anf.var("t"))
     with pytest.raises(ValueError, match=f"^cannot rebase root {k_root} onto {k_new}$"):
         st0.rebased(k_new)
 
 
+def test_rebased_scales_each_power_and_keeps_its_gates(fig6):
+    c_state = evaluate(fig6).outcomes["c"].state
+    fine = c_state.rebased(4)
+    a, b = Anf.var("a"), Anf.var("b")
+    assert fine.terms == (
+        EpisodeTerm(a, 6, (3,)), EpisodeTerm(b, 6, (4,)), EpisodeTerm(a ^ b, 2, (7,))
+    )
+    assert (fine.target, fine.base, fine.k_root) == ("c", Anf.var("c"), 4)
+    assert fine.exponent == poly({"a*b": 4})
+    assert fine.rebased(8).terms == tuple(t._replace(power=2 * t.power) for t in fine.terms)
+
+
 def test_collapse_examples():
     t = Anf.var("t")
-    assert TargetState(t, 2, MlPoly.zero()).collapse() == t
-    assert TargetState(t, 2, poly({"a*b": 2})).collapse() == Anf.parse("t ^ a&b")
-    assert TargetState(t, 2, poly({"a": 1})).collapse() is None
-    assert TargetState(t, 2, poly({"a": 2, "b": 1})).collapse() is None
-    assert TargetState(t, 4, poly({"a": 4, "b*c": 4})).collapse() == Anf.parse(
+    assert state(MlPoly.zero(), 2, t).collapse() == t
+    assert state(poly({"a*b": 2}), 2, t).collapse() == Anf.parse("t ^ a&b")
+    assert state(poly({"a": 1}), 2, t).collapse() is None
+    assert state(poly({"a": 2, "b": 1}), 2, t).collapse() is None
+    assert state(poly({"a": 4, "b*c": 4}), 4, t).collapse() == Anf.parse(
         "t ^ a ^ b&c"
     )
 
@@ -117,11 +159,11 @@ def test_collapse_sound_and_complete(state):
             )
 
 
-def _absorb(state, k, p, ctrl):
+def _absorb(st0, k, p, ctrl):
     """Gate-by-gate absorption of Q_k^p under ``ctrl``, as the unreduced sum at the finer root."""
-    k2 = max(state.k_root, k)
-    want = state.rebased(k2).exponent + (p * (k2 // k)) * ctrl.to_arith()
-    return TargetState(state.base, k2, want.reduce_mod(2 * k2))
+    k2 = max(st0.k_root, k)
+    want = st0.rebased(k2).exponent + (p * (k2 // k)) * ctrl.to_arith()
+    return state(want, k2, st0.base, st0.target)
 
 
 episode_gates = st.tuples(roots, st.integers(min_value=1, max_value=15), anfs)
@@ -131,11 +173,11 @@ episode_gates = st.tuples(roots, st.integers(min_value=1, max_value=15), anfs)
 def test_absorb_matches_the_unreduced_sum(base, gs):
     # an episode's roots rise and fall, so a gate's root is coarser or finer than the state's
     ep = _Episode("t", base, gs[0][0])
-    want = TargetState(base, gs[0][0], MlPoly.zero())
+    want = state(MlPoly.zero(), gs[0][0], base)
     for i, (k, p, ctrl) in enumerate(gs):
         ep.add(i, k, p, ctrl)
         want = _absorb(want, k, p, ctrl)
-    assert ep.state() == want
+    assert _fields(ep.end()) == _fields(want)
 
 
 @given(target_states())
@@ -152,8 +194,8 @@ def test_rebase_preserves_normalized_exponent(state):
 
 def test_normalized_exponent_folds_base():
     # Q^K applied to |1> equals Q^(E+K) applied to |0>
-    a = TargetState(Anf.var("a"), 2, MlPoly.zero())
-    b = TargetState(Anf.zero(), 2, poly({"a": 2}))
+    a = state(MlPoly.zero(), 2, Anf.var("a"))
+    b = state(poly({"a": 2}), 2)
     assert a.normalized_exponent() == b.normalized_exponent()
 
 
@@ -253,9 +295,8 @@ def test_emergent_and_from_linear_controls():
 def test_tainted_control_collapses_before_use(fig6):
     report = evaluate(fig6)
     # line c regains a Boolean value exactly when gate 8 reads it
-    rec = report.trace[8]
-    assert rec.target == "d"
-    assert rec.resolved_control == Anf.parse("c ^ a&b")
+    assert fig6.gates[8].target == "d"
+    assert report.trace[8] == Anf.parse("c ^ a&b")
 
 
 def test_evaluate_leaves_a_memoized_fold_unchanged():
@@ -267,7 +308,7 @@ def test_evaluate_leaves_a_memoized_fold_unchanged():
         "line a\nline b\nline c\nline x\nline t target\n"
         "cnot a x\ncnot b x\ncnot c x\nv x -> t\nv x -> t\nv x -> t\n"
     )
-    assert evaluate(c).trace[3].resolved_control == x
+    assert evaluate(c).trace[3] == x
     assert shared == before
     assert x.to_arith(4) == before
 
@@ -276,8 +317,7 @@ def test_resolved_control_is_the_product_of_the_controls():
     c = Circuit.parse(
         "line a\nline b\nline t target\nv -> t\nv a -> t\nccx a b t\n"
     )
-    got = [rec.resolved_control for rec in evaluate(c).trace]
-    assert got == [Anf.one(), Anf.var("a"), Anf.parse("a&b")]
+    assert evaluate(c).trace == (Anf.one(), Anf.var("a"), Anf.parse("a&b"))
 
 
 def test_interaction_raises_with_gate_index():
@@ -301,13 +341,33 @@ def test_taint_episodes_in_trace():
     assert evaluate(c).outcomes["t"].value == Anf.var("t")   # a ^ a cancels
 
 
+def test_a_lines_state_is_its_last_episode():
+    c = Circuit.parse(
+        "line a\nline t target\nline u target\n"
+        "v a -> t\nv a -> t\ncnot t u\n"       # t's first episode ends at the cnot
+        "v a -> t\nv a -> t\ncnot t u\n"       # and its second
+        "v a -> t\nw a -> u\n"                # the third, and u's first, end with the circuit
+    )
+    report = evaluate(c)
+    assert [ep.target for ep in report.episodes] == ["t", "t", "t", "u"]
+    assert report.outcomes["t"].state is report.episodes[2]
+    assert report.outcomes["u"].state is report.episodes[3]
+    assert report.outcomes["a"].state is None
+
+
+def test_trace_is_one_resolved_control_per_gate(fig6):
+    # gate 5, cnot a b, leaves a ^ b on line b; gate 8 reads c collapsed
+    a, b, c = Anf.var("a"), Anf.var("b"), Anf.var("c")
+    assert evaluate(fig6).trace == (a, b, c, a, b, a, a ^ b, a ^ b, c ^ (a & b), a)
+
+
 # -- per-control sums against gate-by-gate absorption ------------------------------
 
 
 def _gate_by_gate(circuit):
     """The reference evaluation: every gate is absorbed into its target's state at once."""
     states = {ln.name: Anf.var(ln.name) for ln in circuit.lines}
-    last_state, trace = {}, []
+    last, trace = {}, []
     for i, g in enumerate(circuit.gates):
         ctrl = Anf.one()
         for cname in g.controls:
@@ -320,25 +380,33 @@ def _gate_by_gate(circuit):
                         f"fractional power of NOT ({s})",
                         gate_index=i,
                     )
-                last_state[cname] = s
+                last[cname] = s
                 states[cname] = s = v
             ctrl = ctrl & s
         tstate = states[g.target]
-        trace.append(GateRecord(i, g.target, ctrl))
+        trace.append(ctrl)
         if g.is_not_family and isinstance(tstate, Anf):
             states[g.target] = tstate ^ ctrl
             continue
         if isinstance(tstate, Anf):
-            tstate = TargetState(tstate, g.k, MlPoly.zero())
+            tstate = state(MlPoly.zero(), g.k, tstate, g.target)
         states[g.target] = _absorb(tstate, g.k, g.p, ctrl)
     outcomes = {}
     for ln in circuit.lines:
         value = states[ln.name]
         if isinstance(value, TargetState):
-            last_state[ln.name] = value
+            last[ln.name] = value
             value = value.collapse()
-        outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, value, last_state.get(ln.name))
+        outcomes[ln.name] = LineOutcome(ln.name, ln.is_target, value, last.get(ln.name))
     return EvalReport(outcomes, trace)
+
+
+def _lines(report):
+    """Each line's value and what its state says, whatever terms built the state."""
+    return {
+        name: (oc.value, None if oc.state is None else _fields(oc.state))
+        for name, oc in report.outcomes.items()
+    }
 
 
 LINES = ("a", "b", "c", "t", "u")
@@ -368,7 +436,7 @@ def test_per_control_sums_match_gate_by_gate_absorption(c):
         assert (str(err.value), err.value.gate_index) == (str(exc), exc.gate_index)
         return
     got = _evaluate(c)
-    assert got.outcomes == want.outcomes
+    assert _lines(got) == _lines(want)
     assert got.trace == want.trace
 
 
@@ -389,7 +457,7 @@ def test_a_complementary_pair_absorbs_nothing(monkeypatch):
     c = Circuit.parse("line a\nline t target\nw a -> t\nw* a -> t\n")
     report = _evaluate(c)
     assert calls == []
-    assert report.outcomes["t"].state == TargetState(Anf.var("t"), 4, MlPoly.zero())
+    assert _fields(report.outcomes["t"].state) == (Anf.var("t"), 4, MlPoly.zero())
     assert "collapsed from root k=4, exponent 0" in report.to_text()
 
 
@@ -400,7 +468,7 @@ def test_a_finer_root_rescales_earlier_sums(monkeypatch):
     st0 = _evaluate(c).outcomes["t"].state
     assert (st0.k_root, st0.exponent) == (4, poly({"a": 4, "b": 1}))
     assert calls == [(2, Anf.var("a")), (8, Anf.var("b"))]
-    assert st0 == _gate_by_gate(c).outcomes["t"].state
+    assert _fields(st0) == _fields(_gate_by_gate(c).outcomes["t"].state)
 
 
 def test_a_target_driving_a_control_shows_the_gate_by_gate_exponent():
@@ -412,11 +480,11 @@ def test_a_target_driving_a_control_shows_the_gate_by_gate_exponent():
     )
     report = _evaluate(c)
     # a ^ b's total is 2 + 2 = K and a's is 1 + 7 = 0 mod 2K
-    shown = TargetState(Anf.var("t"), 4, poly({"a": 4, "b": 4}))
-    assert report.outcomes["t"].state == shown
-    assert report.trace[6].resolved_control == Anf.parse("t ^ a ^ b")
+    shown = (Anf.var("t"), 4, poly({"a": 4, "b": 4}))
+    assert _fields(report.outcomes["t"].state) == shown
+    assert report.trace[6] == Anf.parse("t ^ a ^ b")
     assert report.outcomes["u"].value == Anf.parse("u ^ t ^ a ^ b ^ a&b")
-    assert report.outcomes == _gate_by_gate(c).outcomes
+    assert _lines(report) == _lines(_gate_by_gate(c))
 
 
 def test_an_xor_under_a_complementary_pair_is_folded_mod_two(monkeypatch):
@@ -447,12 +515,12 @@ def test_fig6_episodes(fig6):
     # gate 8 reads c, which ends c's episode there; d's ends with the circuit
     a, b, c = Anf.var("a"), Anf.var("b"), Anf.var("c")
     assert evaluate(fig6).episodes == (
-        Episode("c", 2, (
+        TargetState("c", c, 2, (
             EpisodeTerm(a, 3, (3,)),
             EpisodeTerm(b, 3, (4,)),
             EpisodeTerm(a ^ b, 1, (7,)),
         )),
-        Episode("d", 4, (
+        TargetState("d", Anf.var("d"), 4, (
             EpisodeTerm(a, 7, (0,)),
             EpisodeTerm(b, 7, (1,)),
             EpisodeTerm(c, 6, (2,)),
@@ -467,8 +535,9 @@ def test_a_cancelled_control_stays_in_its_episode(monkeypatch):
     c = Circuit.parse("line a\nline b\nline t target\nv a -> t\nv b -> t\nv* a -> t\n")
     (ep,) = _evaluate(c).episodes
     a, b = Anf.var("a"), Anf.var("b")
-    assert ep == Episode("t", 2, (EpisodeTerm(a, 0, (0, 2)), EpisodeTerm(b, 1, (1,))))
     assert calls == [(4, b)]
+    terms = (EpisodeTerm(a, 0, (0, 2)), EpisodeTerm(b, 1, (1,)))
+    assert ep == TargetState("t", Anf.var("t"), 2, terms)
 
 
 @st.composite
@@ -514,13 +583,13 @@ def test_episodes_partition_the_absorbed_gates_and_sum_their_powers(c):
         assert {g.target for g in gates} == {ep.target}
         assert len({t.control for t in ep.terms}) == len(ep.terms)
         for t in ep.terms:
-            assert {report.trace[i].resolved_control for i in t.gates} == {t.control}
+            assert {report.trace[i] for i in t.gates} == {t.control}
             m = 2 * ep.k_root
             assert t.power == sum(c.gates[i].p * (ep.k_root // c.gates[i].k) for i in t.gates) % m
     last = {ep.target: ep for ep in report.episodes}
     for name, oc in report.outcomes.items():
+        assert oc.state is last.get(name)
         if name not in last:
-            assert oc.state is None
             continue
         ep, m = last[name], 2 * last[name].k_root
         expanded = sum((t.power * t.control.to_arith(m) for t in ep.terms), MlPoly.zero())
@@ -534,8 +603,10 @@ def test_the_episode_table_cannot_be_written(fig6):
         report.episodes = ()
     with pytest.raises(TypeError):
         report.episodes[0] = ep
-    with pytest.raises(AttributeError):
+    with pytest.raises(FrozenInstanceError):
         ep.k_root = 8
+    with pytest.raises(FrozenInstanceError):
+        ep.exponent = MlPoly.zero()
     with pytest.raises(TypeError):
         ep.terms[0] = ep.terms[1]
     with pytest.raises(AttributeError):
@@ -778,7 +849,8 @@ def test_check_spec_without_specs_raises_before_evaluation(monkeypatch):
 
 def test_every_evaluation_records_its_trace(fig2):
     report = evaluate(fig2)
-    assert [rec.index for rec in report.trace] == list(range(len(fig2.gates)))
+    assert len(report.trace) == len(fig2.gates)
+    assert all(type(ctrl) is Anf for ctrl in report.trace)
 
 
 # -- the evaluation memo -------------------------------------------------------------
@@ -821,7 +893,7 @@ def test_a_shared_report_cannot_be_written(fig2):
     with pytest.raises(FrozenInstanceError):
         report.outcomes["t"].value = Anf.one()
     with pytest.raises(FrozenInstanceError):
-        report.trace[0].resolved_control = Anf.one()
+        report.outcomes["t"].state.k_root = 8
     # a replaced report is read-only too, and leaves the original alone
     changed = replace(report, outcomes={**report.outcomes, "t": report.outcomes["a"]})
     with pytest.raises(TypeError):
@@ -833,12 +905,12 @@ def test_frozen_records_keep_their_fields_in_slots(fig2):
     from cnq import StateVector
 
     report = evaluate(fig2)
-    gate, line, state = fig2.gates[0], fig2.lines[0], TargetState(Anf.one(), 2, MlPoly.zero())
+    gate, line, st0 = fig2.gates[0], fig2.lines[0], TargetState("t", Anf.one(), 2)
     vector = StateVector.basis(("a",), {"a": 1})
-    for record, name in ((gate, "p"), (line, "name"), (state, "k_root"), (vector, "lines")):
+    for record, name in ((gate, "p"), (line, "name"), (st0, "k_root"), (vector, "lines")):
         with pytest.raises(FrozenInstanceError):
             setattr(record, name, getattr(record, name))
-    for record in (gate, line, state, vector, report.trace[0], report.outcomes["t"], report):
+    for record in (gate, line, st0, vector, report.trace[0], report.outcomes["t"], report):
         assert not hasattr(record, "__dict__")
     assert pickle.loads(pickle.dumps(gate)) == gate and replace(gate, p=3).p == 3
 
